@@ -1,7 +1,7 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint bench bench-flightrec bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
-verify: build vet lint test race audit-smoke obs-smoke bench-sched bench-hier bench-obs stress-hier chaos-rdn chaos-elastic
+verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs stress-hier chaos-rdn chaos-elastic
 
 build:
 	go build ./...
@@ -11,6 +11,14 @@ vet:
 
 test:
 	go test ./...
+
+# The benchmark harness under bench/ is its own module (gage/bench, replace
+# gage => ../) that imports cluster, dispatch, benchkit, core, telemetry and
+# obs, so `go build ./...` here never compiles it. Vet and test it too: an
+# API change that breaks the harness must fail locally, not in the driver.
+bench-build:
+	go -C bench vet ./...
+	go -C bench test ./...
 
 # Every package runs under the race detector: the scheduler and dispatcher
 # are the concurrency hot spots (connection goroutines vs ticker vs
@@ -25,29 +33,8 @@ race:
 # and drain drills, run twice to shake out order dependence between runs.
 chaos:
 	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission' \
-		./internal/cluster/ ./internal/dispatch/ ./internal/faults/
+		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/
 	go test -race -count=2 ./internal/breaker/
-
-# Benchmark trajectory: the root suite (one benchmark per paper table /
-# figure) plus the telemetry overhead benchmarks — histogram record and the
-# live dispatcher's request path with tracing off / every request / 1-in-100.
-# Results land in BENCH_telemetry.json (go test -json stream) so regressions
-# in the hot-path numbers (Record must stay 0 allocs/op, tracing-off serve
-# overhead ≲5%) are diffable across commits.
-bench:
-	go test -run '^$$' -bench . -benchmem -benchtime=1x -json \
-		. ./internal/telemetry/ ./internal/dispatch/ > BENCH_telemetry.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_telemetry.json | cut -d'"' -f4 || true
-
-# Flight-recorder overhead trajectory: scheduler Tick with the recorder off
-# and on, and the raw Begin/Commit record path. Results land in
-# BENCH_flightrec.json so regressions (recorder-on Tick must stay 0
-# allocs/op in steady state, off/on delta small) are diffable across
-# commits.
-bench-flightrec:
-	go test -run '^$$' -bench Flightrec -benchmem -benchtime=1000x -json \
-		./internal/flightrec/ > BENCH_flightrec.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_flightrec.json | cut -d'"' -f4 || true
 
 # Scheduler hot-path scale trajectory: one steady-state scheduling cycle
 # (arrivals + Tick + accounting feedback, 64-subscriber working set) at

@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"flag"
 	"testing"
 )
 
@@ -54,6 +55,14 @@ func TestPrepareForwarding(t *testing.T) {
 func TestMeasureTable3Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 3 measurement is slow in -short mode")
+	}
+	// The assertions below are order-of-magnitude shapes, so a tenth of the
+	// default second per operation is plenty (the untimed set-up and drain
+	// work scales with it too).
+	benchtime := flag.Lookup("test.benchtime").Value
+	defer flag.Set("test.benchtime", benchtime.String())
+	if err := flag.Set("test.benchtime", "100ms"); err != nil {
+		t.Fatal(err)
 	}
 	rows, err := MeasureTable3()
 	if err != nil {

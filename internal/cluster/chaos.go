@@ -32,20 +32,34 @@ type acctMsg struct {
 	cum   core.UsageReport
 }
 
-// chaosRun is the harness bookkeeping that makes every dispatch settle
-// exactly once and turns missing feedback into failure detection. It exists
-// on every run (fault plan or not) so the settlement invariant is always
-// audited for free.
+// inflight is one dispatch awaiting settlement: the subscriber it was
+// charged to and the front end whose scheduler holds the charge.
+type inflight struct {
+	sub   qos.SubscriberID
+	front *frontEnd
+}
+
+// chaosRun is the per-RPN feedback book: the bookkeeping that makes every
+// dispatch settle exactly once and turns missing feedback into failure
+// detection. It exists on every run (fault plan or not, one front end or a
+// tier) so the settlement invariant is always audited for free. A node's
+// health is one fact about the RPN, so weight changes apply to every live
+// front end's scheduler; a charge belongs to one scheduler, so a reclaim
+// goes back to the front end that dispatched it.
 type chaosRun struct {
+	fronts []*frontEnd
+
 	crashed  map[core.NodeID]bool
-	inflight map[core.NodeID]map[uint64]qos.SubscriberID
+	inflight map[core.NodeID]map[uint64]inflight
 	// draining pins a node's scheduler weight at 0 regardless of breaker
 	// state — graceful scale-in must not be undone by a healthy breaker's
 	// ramp on the next accounting tick.
 	draining map[core.NodeID]bool
 
-	dispatched, delivered, reclaimed int
-	balanceViolations                int
+	// fenced counts dispatches refused at delivery because their epoch stamp
+	// belonged to a deposed owner.
+	dispatched, delivered, reclaimed, fenced int
+	balanceViolations                        int
 
 	// Accounting-feedback health per node: each RPN's breaker trips on the
 	// missed-cycle streak and ramps the node back through slow start after
@@ -65,10 +79,11 @@ type chaosRun struct {
 	bus *obs.Bus
 }
 
-func newChaosRun(nodes []*RPN) *chaosRun {
+func newChaosRun(nodes []*RPN, fronts []*frontEnd) *chaosRun {
 	cs := &chaosRun{
+		fronts:   fronts,
 		crashed:  make(map[core.NodeID]bool, len(nodes)),
-		inflight: make(map[core.NodeID]map[uint64]qos.SubscriberID, len(nodes)),
+		inflight: make(map[core.NodeID]map[uint64]inflight, len(nodes)),
 		draining: make(map[core.NodeID]bool, len(nodes)),
 		breakers: make(map[core.NodeID]*breaker.Breaker, len(nodes)),
 		sendSeq:  make(map[core.NodeID]int, len(nodes)),
@@ -77,7 +92,7 @@ func newChaosRun(nodes []*RPN) *chaosRun {
 		lastSeen: make(map[core.NodeID]core.UsageReport, len(nodes)),
 	}
 	for _, r := range nodes {
-		cs.inflight[r.id] = make(map[uint64]qos.SubscriberID)
+		cs.inflight[r.id] = make(map[uint64]inflight)
 		cs.lastSeq[r.id] = -1
 		cs.breakers[r.id] = breaker.New(breaker.Config{
 			Threshold: unhealthyAfterMissedAcct,
@@ -92,7 +107,7 @@ func newChaosRun(nodes []*RPN) *chaosRun {
 // scale-out joins the pool exactly like a node recovering from a breaker
 // trip rather than being handed a thundering herd.
 func (cs *chaosRun) addNode(r *RPN) {
-	cs.inflight[r.id] = make(map[uint64]qos.SubscriberID)
+	cs.inflight[r.id] = make(map[uint64]inflight)
 	cs.lastSeq[r.id] = -1
 	cs.breakers[r.id] = breaker.NewRamping(breaker.Config{
 		Threshold: unhealthyAfterMissedAcct,
@@ -101,19 +116,21 @@ func (cs *chaosRun) addNode(r *RPN) {
 }
 
 // drain marks a node draining and zeroes its scheduler weight; in-flight
-// accounting keeps settling normally. Returns the node's estimated
-// outstanding load at drain time.
-func (cs *chaosRun) drain(sched *core.Scheduler, node core.NodeID) qos.Vector {
+// accounting keeps settling normally.
+func (cs *chaosRun) drain(node core.NodeID) {
 	cs.draining[node] = true
-	// Known nodes cannot fail to drain.
-	out, _ := sched.DrainNode(node)
-	return out
+	for _, fe := range cs.fronts {
+		if fe.alive {
+			// Known nodes cannot fail to drain.
+			_, _ = fe.sched.DrainNode(node)
+		}
+	}
 }
 
 // track records a dispatch as in flight on its node.
-func (cs *chaosRun) track(node core.NodeID, reqID uint64, sub qos.SubscriberID) {
+func (cs *chaosRun) track(node core.NodeID, reqID uint64, sub qos.SubscriberID, fe *frontEnd) {
 	cs.dispatched++
-	cs.inflight[node][reqID] = sub
+	cs.inflight[node][reqID] = inflight{sub: sub, front: fe}
 }
 
 // complete settles one delivered request.
@@ -122,19 +139,34 @@ func (cs *chaosRun) complete(node core.NodeID, reqID uint64) {
 	cs.delivered++
 }
 
-// reclaimOne settles one crash-lost request: its dispatch-time charge is
-// released back to the scheduler so the dead node's capacity and the
-// subscriber's in-flight estimate do not leak.
-func (cs *chaosRun) reclaimOne(sched *core.Scheduler, node core.NodeID, reqID uint64, sub qos.SubscriberID) {
+// giveBack settles one dispatch that will never complete: its charge goes
+// back to the scheduler that made it, so the node's capacity and the
+// subscriber's in-flight estimate do not leak. A dispatcher that has itself
+// crashed since took the charge with it.
+func (cs *chaosRun) giveBack(node core.NodeID, reqID uint64) {
+	e := cs.inflight[node][reqID]
 	delete(cs.inflight[node], reqID)
+	if e.front.alive {
+		e.front.sched.ReleaseDispatch(e.sub, node, reqID)
+	}
+}
+
+// reclaimOne settles one request lost to a node crash.
+func (cs *chaosRun) reclaimOne(node core.NodeID, reqID uint64) {
 	cs.reclaimed++
-	sched.ReleaseDispatch(sub, node, reqID)
+	cs.giveBack(node, reqID)
+}
+
+// fenceOne settles one request refused at the delivery fence.
+func (cs *chaosRun) fenceOne(node core.NodeID, reqID uint64) {
+	cs.fenced++
+	cs.giveBack(node, reqID)
 }
 
 // crash fail-stops a node: every request in flight there is reclaimed and
-// the RPN restarts cold. The scheduler keeps dispatching to the node until
-// the missed-accounting streak disables it — the RDN has no crash oracle.
-func (cs *chaosRun) crash(sched *core.Scheduler, r *RPN) {
+// the RPN restarts cold. The schedulers keep dispatching to the node until
+// the missed-accounting streak disables it — an RDN has no crash oracle.
+func (cs *chaosRun) crash(r *RPN) {
 	cs.crashed[r.id] = true
 	// Reclaim in request-ID order: scheduler release math clamps at zero,
 	// so a deterministic order keeps chaos runs byte-replayable.
@@ -144,10 +176,8 @@ func (cs *chaosRun) crash(sched *core.Scheduler, r *RPN) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, reqID := range ids {
-		cs.reclaimed++
-		sched.ReleaseDispatch(cs.inflight[r.id][reqID], r.id, reqID)
+		cs.reclaimOne(r.id, reqID)
 	}
-	cs.inflight[r.id] = make(map[uint64]qos.SubscriberID)
 	r.Crash()
 }
 
@@ -159,36 +189,39 @@ func (cs *chaosRun) recover(node core.NodeID) {
 
 // missAcct records one silent accounting cycle for a node; at the streak
 // threshold the breaker opens and the node's scheduler weight drops to 0.
-func (cs *chaosRun) missAcct(sched *core.Scheduler, node core.NodeID, now time.Time) {
-	if cs.breakers[node].Failure(breaker.Poll, now) {
-		cs.publishBreaker(node)
-	}
-	cs.applyWeight(sched, node)
+func (cs *chaosRun) missAcct(node core.NodeID, now time.Time) {
+	cs.noteBreaker(node, cs.breakers[node].Failure(breaker.Poll, now))
 }
 
 // ackAcct records one delivered report. A tripped breaker closes — the poll
-// is its own probe — and the node rejoins the scheduler at the bottom of
+// is its own probe — and the node rejoins the schedulers at the bottom of
 // the slow-start ramp rather than at full weight.
-func (cs *chaosRun) ackAcct(sched *core.Scheduler, node core.NodeID, now time.Time) {
-	if cs.breakers[node].Success(breaker.Poll, now) {
-		cs.publishBreaker(node)
-	}
-	cs.applyWeight(sched, node)
+func (cs *chaosRun) ackAcct(node core.NodeID, now time.Time) {
+	cs.noteBreaker(node, cs.breakers[node].Success(breaker.Poll, now))
 }
 
 // tickAcct advances breaker time one accounting cycle: the slow-start ramp
 // climbs one step for closed breakers.
-func (cs *chaosRun) tickAcct(sched *core.Scheduler, node core.NodeID, now time.Time) {
-	if cs.breakers[node].Tick(now) {
-		cs.publishBreaker(node)
-	}
-	cs.applyWeight(sched, node)
+func (cs *chaosRun) tickAcct(node core.NodeID, now time.Time) {
+	cs.noteBreaker(node, cs.breakers[node].Tick(now))
 }
 
-// publishBreaker records one breaker state transition on the event bus.
-func (cs *chaosRun) publishBreaker(node core.NodeID) {
-	cs.bus.Publish(obs.Event{Kind: obs.KindBreaker, Node: int(node),
-		Stage: cs.breakers[node].State().String(), Detail: breaker.Poll.String()})
+// noteBreaker follows one breaker input: a state transition lands on the
+// event bus, and the schedulers' admission weight is brought back into
+// lockstep with the breaker — the single place health changes what a
+// scheduler may dispatch.
+func (cs *chaosRun) noteBreaker(node core.NodeID, transitioned bool) {
+	if transitioned {
+		cs.bus.Publish(obs.Event{Kind: obs.KindBreaker, Node: int(node),
+			Stage: cs.breakers[node].State().String(), Detail: breaker.Poll.String()})
+	}
+	w := cs.nodeWeight(node)
+	for _, fe := range cs.fronts {
+		if fe.alive {
+			// Known nodes cannot fail to update.
+			_ = fe.sched.SetNodeWeight(node, w)
+		}
+	}
 }
 
 // nodeWeight reports the node's current scheduler weight: the breaker's,
@@ -200,18 +233,11 @@ func (cs *chaosRun) nodeWeight(node core.NodeID) float64 {
 	return cs.breakers[node].Weight()
 }
 
-// applyWeight keeps the scheduler's admission weight in lockstep with the
-// breaker — the single place health changes what the scheduler may dispatch.
-func (cs *chaosRun) applyWeight(sched *core.Scheduler, node core.NodeID) {
-	// Known nodes cannot fail to update.
-	_ = sched.SetNodeWeight(node, cs.nodeWeight(node))
-}
-
 // deliverAcct folds one arriving accounting message into the delta the
-// scheduler consumes. Stale messages (an older send overtaken by a newer
+// schedulers consume. Stale messages (an older send overtaken by a newer
 // one inside a delay window) return ok=false and must be ignored. A message
 // from a new incarnation is a counter reset: the fresh cumulative IS the
-// delta, mirroring the live dispatcher's report differ.
+// delta, exactly as the live dispatcher's poller sees a restarted backend.
 func (cs *chaosRun) deliverAcct(node core.NodeID, msg acctMsg) (core.UsageReport, bool) {
 	if msg.epoch == cs.lastEp[node] && msg.seq <= cs.lastSeq[node] {
 		return core.UsageReport{}, false
@@ -223,7 +249,7 @@ func (cs *chaosRun) deliverAcct(node core.NodeID, msg acctMsg) (core.UsageReport
 	cs.lastSeq[node] = msg.seq
 	cs.lastEp[node] = msg.epoch
 	cs.lastSeen[node] = msg.cum
-	return diffCumulative(msg.cum, prev), true
+	return core.DiffUsageReports(msg.cum, prev, nil), true
 }
 
 // inflightTotal counts requests still in flight across all nodes.
@@ -233,27 +259,4 @@ func (cs *chaosRun) inflightTotal() int {
 		n += len(m)
 	}
 	return n
-}
-
-// diffCumulative converts a node's cumulative usage report into the delta
-// since prev. Within one incarnation counters are monotone, so no negative
-// handling is needed here; incarnation changes zero prev before the call.
-func diffCumulative(cum, prev core.UsageReport) core.UsageReport {
-	delta := core.UsageReport{
-		Node:         cum.Node,
-		Total:        cum.Total.Sub(prev.Total),
-		BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage, len(cum.BySubscriber)),
-	}
-	for id, u := range cum.BySubscriber {
-		p := prev.BySubscriber[id]
-		d := core.SubscriberUsage{
-			Usage:     u.Usage.Sub(p.Usage),
-			Completed: u.Completed - p.Completed,
-		}
-		if d.Usage.IsZero() && d.Completed == 0 {
-			continue
-		}
-		delta.BySubscriber[id] = d
-	}
-	return delta
 }

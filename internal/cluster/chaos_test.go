@@ -344,25 +344,25 @@ func chaosFixture(t *testing.T) (*core.Scheduler, *chaosRun, []*RPN) {
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	return sched, newChaosRun(rpns), rpns
+	return sched, newChaosRun(rpns, []*frontEnd{{id: 1, sched: sched, alive: true}}), rpns
 }
 
 func TestChaosRunMissedStreakDisablesAndReportReenables(t *testing.T) {
 	sched, cs, _ := chaosFixture(t)
 	now := time.Unix(0, 0)
 	for i := 0; i < unhealthyAfterMissedAcct-1; i++ {
-		cs.missAcct(sched, 1, now)
+		cs.missAcct(1, now)
 		if !sched.NodeEnabled(1) {
 			t.Fatalf("node disabled after %d misses, threshold is %d", i+1, unhealthyAfterMissedAcct)
 		}
 	}
-	cs.missAcct(sched, 1, now)
+	cs.missAcct(1, now)
 	if sched.NodeEnabled(1) {
 		t.Fatal("node not disabled at the missed-accounting streak threshold")
 	}
 	// The first delivered report re-enables the node — but at the bottom of
 	// the slow-start ramp, not at full weight.
-	cs.ackAcct(sched, 1, now)
+	cs.ackAcct(1, now)
 	if !sched.NodeEnabled(1) {
 		t.Fatal("a delivered report must re-enable the node")
 	}
@@ -373,7 +373,7 @@ func TestChaosRunMissedStreakDisablesAndReportReenables(t *testing.T) {
 	// One step per accounting cycle back to full capacity.
 	prev := wantStart
 	for i := 0; i < slowStartAcctCycles; i++ {
-		cs.tickAcct(sched, 1, now)
+		cs.tickAcct(1, now)
 		w, _ := sched.NodeWeight(1)
 		if w < prev {
 			t.Fatalf("ramp went backwards at cycle %d: %v -> %v", i+1, prev, w)
@@ -425,12 +425,17 @@ func TestChaosRunDeliverAcctStaleAndEpoch(t *testing.T) {
 }
 
 func TestChaosRunCrashReclaimsInflight(t *testing.T) {
-	sched, cs, rpns := chaosFixture(t)
-	cs.track(1, 101, "a")
-	cs.track(1, 102, "a")
-	cs.track(2, 201, "a")
+	_, cs, rpns := chaosFixture(t)
+	// A second front end that has itself crashed since dispatching: its
+	// charge died with its scheduler, so the reclaim must not touch it (a
+	// release on the nil scheduler would panic).
+	dead := &frontEnd{id: 2}
+	cs.fronts = append(cs.fronts, dead)
+	cs.track(1, 101, "a", cs.fronts[0])
+	cs.track(1, 102, "a", dead)
+	cs.track(2, 201, "a", cs.fronts[0])
 	epochBefore := rpns[0].Epoch()
-	cs.crash(sched, rpns[0])
+	cs.crash(rpns[0])
 	if cs.reclaimed != 2 {
 		t.Errorf("reclaimed = %d, want 2 (only node 1's in-flight work)", cs.reclaimed)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gage/internal/admitctl"
-	"gage/internal/classify"
 	"gage/internal/core"
 	"gage/internal/flightrec"
 	"gage/internal/obs"
@@ -145,24 +144,12 @@ func ElasticityDrillOptions(rec *flightrec.Recorder) Options {
 	}
 }
 
-// elasticState is the harness-side control plane: the shared run state each
-// scripted admission event mutates. The node-add wiring and per-subscriber
-// series creation stay in Run as closures — they touch the engine loops —
-// and everything else is applied here.
+// elasticState is the harness-side control plane: it applies each scripted
+// admission event to the simulation's (single) front end and keeps the
+// outcome log.
 type elasticState struct {
-	cfg          admitctl.Config
-	sched        *core.Scheduler
-	cs           *chaosRun
-	dyn          *classify.DynamicClassifier
-	rec          *flightrec.Recorder
-	bus          *obs.Bus
-	defsNow      map[qos.SubscriberID]qos.Subscriber
-	floors       map[qos.SubscriberID]qos.Vector
-	creditWindow time.Duration
-
-	ensureSub func(id qos.SubscriberID)
-	addRPN    func(ev AdmissionEvent) error
-	nodeByID  func(id core.NodeID) *RPN
+	cfg admitctl.Config
+	sim *sim
 
 	orphaned           int
 	accepted, rejected int
@@ -170,115 +157,117 @@ type elasticState struct {
 }
 
 func (es *elasticState) annotate(ev flightrec.TierEvent) {
-	if es.rec != nil {
-		es.rec.Annotate(ev)
+	if rec := es.sim.fronts[0].rec; rec != nil {
+		rec.Annotate(ev)
 	}
 }
 
 // apply executes one scripted event against the live run. Refusals — policy
 // or mechanical — change nothing; every outcome lands in the log.
 func (es *elasticState) apply(ev AdmissionEvent) {
+	s := es.sim
+	sched := s.fronts[0].sched
 	out := AdmissionOutcome{At: ev.At, Kind: ev.Kind, Node: ev.Node}
 	switch ev.Kind {
 	case AdmitSubscriber:
 		sub := ev.Subscriber
 		out.Subscriber = sub.ID
-		d := admitctl.Evaluate(es.cfg, es.sched.TotalReservation(), sub.Reservation, es.sched.EnabledCapacity())
+		d := admitctl.Evaluate(es.cfg, sched.TotalReservation(), sub.Reservation, sched.EnabledCapacity())
 		out.Decision = d
 		if !d.Accepted {
 			break
 		}
-		if err := es.sched.AddSubscriber(sub); err != nil {
+		if err := sched.AddSubscriber(sub); err != nil {
 			out.Err = err.Error()
 			break
 		}
-		es.dyn.Add(sub.ID, sub.Hosts...)
-		es.defsNow[sub.ID] = sub
-		es.floors[sub.ID] = sub.Reservation.PerCycle(es.creditWindow).Neg()
-		es.ensureSub(sub.ID)
+		s.dyn.Add(sub.ID, sub.Hosts...)
+		s.defsNow[sub.ID] = sub
+		s.floors[sub.ID] = sub.Reservation.PerCycle(s.opts.CreditWindow).Neg()
+		s.ensureSub(sub.ID)
 		es.annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
 		out.Applied = true
 
 	case ResizeSubscriber:
 		out.Subscriber = ev.SubscriberID
-		old, ok := es.sched.Reservation(ev.SubscriberID)
+		old, ok := sched.Reservation(ev.SubscriberID)
 		if !ok {
 			out.Err = fmt.Sprintf("unknown subscriber %q", ev.SubscriberID)
 			break
 		}
-		d := admitctl.Evaluate(es.cfg, es.sched.TotalReservation(), ev.Reservation-old, es.sched.EnabledCapacity())
+		d := admitctl.Evaluate(es.cfg, sched.TotalReservation(), ev.Reservation-old, sched.EnabledCapacity())
 		out.Decision = d
 		if !d.Accepted {
 			break
 		}
-		if err := es.sched.ResizeReservation(ev.SubscriberID, ev.Reservation); err != nil {
+		if err := sched.ResizeReservation(ev.SubscriberID, ev.Reservation); err != nil {
 			out.Err = err.Error()
 			break
 		}
-		def := es.defsNow[ev.SubscriberID]
+		def := s.defsNow[ev.SubscriberID]
 		def.Reservation = ev.Reservation
-		es.defsNow[ev.SubscriberID] = def
-		es.floors[ev.SubscriberID] = ev.Reservation.PerCycle(es.creditWindow).Neg()
+		s.defsNow[ev.SubscriberID] = def
+		s.floors[ev.SubscriberID] = ev.Reservation.PerCycle(s.opts.CreditWindow).Neg()
 		es.annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(ev.SubscriberID), From: int(old), To: int(ev.Reservation)})
 		out.Applied = true
 
 	case RemoveSubscriber:
 		out.Subscriber = ev.SubscriberID
-		old, ok := es.sched.Reservation(ev.SubscriberID)
+		old, ok := sched.Reservation(ev.SubscriberID)
 		if !ok {
 			out.Err = fmt.Sprintf("unknown subscriber %q", ev.SubscriberID)
 			break
 		}
-		out.Decision = admitctl.Evaluate(es.cfg, es.sched.TotalReservation(), -old, es.sched.EnabledCapacity())
-		orphans, err := es.sched.RemoveSubscriber(ev.SubscriberID)
+		out.Decision = admitctl.Evaluate(es.cfg, sched.TotalReservation(), -old, sched.EnabledCapacity())
+		orphans, err := sched.RemoveSubscriber(ev.SubscriberID)
 		if err != nil {
 			out.Err = err.Error()
 			break
 		}
-		es.dyn.Remove(ev.SubscriberID)
+		s.dyn.Remove(ev.SubscriberID)
 		es.orphaned += len(orphans)
-		delete(es.floors, ev.SubscriberID)
+		delete(s.floors, ev.SubscriberID)
 		// defsNow keeps the final definition so the removed subscriber's
 		// result row still assembles, frozen at its last reservation.
 		es.annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(ev.SubscriberID), From: int(old)})
 		out.Applied = true
 
 	case AddNode:
-		if err := es.addRPN(ev); err != nil {
+		if err := s.addRPN(ev); err != nil {
 			out.Err = err.Error()
 			break
 		}
 		// Growing the pool cannot break a guarantee; the zero-delta
 		// evaluation records the post-add committed/capacity state.
-		out.Decision = admitctl.Evaluate(es.cfg, es.sched.TotalReservation(), 0, es.sched.EnabledCapacity())
+		out.Decision = admitctl.Evaluate(es.cfg, sched.TotalReservation(), 0, sched.EnabledCapacity())
 		es.annotate(flightrec.TierEvent{Kind: "node-add", To: int(ev.Node)})
 		out.Applied = true
 
 	case DrainNode:
-		r := es.nodeByID(ev.Node)
-		if r == nil {
+		r, ok := s.byID[ev.Node]
+		if !ok {
 			out.Err = fmt.Sprintf("unknown node %d", ev.Node)
 			break
 		}
 		// A breaker-disabled node backs no guarantees, so draining it
 		// removes nothing from the feasibility inequality.
 		leaving := r.Capacity()
-		if !es.sched.NodeEnabled(ev.Node) {
+		if !sched.NodeEnabled(ev.Node) {
 			leaving = qos.Vector{}
 		}
-		d := admitctl.NodeRemovalFeasible(es.cfg, es.sched.TotalReservation(), es.sched.EnabledCapacity(), leaving)
+		d := admitctl.NodeRemovalFeasible(es.cfg, sched.TotalReservation(), sched.EnabledCapacity(), leaving)
 		out.Decision = d
 		if !d.Accepted && !ev.Force {
 			break
 		}
-		es.cs.drain(es.sched, ev.Node)
+		s.book.drain(ev.Node)
 		es.annotate(flightrec.TierEvent{Kind: "node-drain", To: int(ev.Node)})
 		out.Applied = true
 
 	default:
 		out.Err = fmt.Sprintf("unknown admission kind %d", int(ev.Kind))
 	}
-	out.CommittedAfter = es.sched.TotalReservation()
+	out.CommittedAfter = sched.TotalReservation()
 	if out.Applied {
 		es.accepted++
 	} else {
@@ -295,6 +284,6 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 	case !out.Applied:
 		code = out.Decision.Code
 	}
-	es.bus.Publish(obs.Event{Kind: obs.KindAdmin, Sub: string(out.Subscriber),
+	s.opts.Bus.Publish(obs.Event{Kind: obs.KindAdmin, Sub: string(out.Subscriber),
 		Node: int(out.Node), Detail: ev.Kind.String() + ":" + code})
 }

@@ -178,7 +178,7 @@ func figure3Run(cycle time.Duration, realistic bool) (*Result, error) {
 		// (the RDN cannot manage node load tighter than it hears back) with
 		// a floor that lets heavy-tailed requests pipeline.
 		CreditWindow:      8 * time.Second,
-		OutstandingWindow: maxDur(2*cycle, 400*time.Millisecond),
+		OutstandingWindow: max(2*cycle, 400*time.Millisecond),
 		Warmup:            5 * time.Second,
 		Duration:          60 * time.Second,
 	})

@@ -1,20 +1,14 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"gage/internal/breaker"
-	"gage/internal/classify"
 	"gage/internal/core"
-	"gage/internal/faults"
 	"gage/internal/flightrec"
 	"gage/internal/frontier"
-	"gage/internal/metrics"
 	"gage/internal/qos"
-	"gage/internal/vclock"
 	"gage/internal/workload"
 )
 
@@ -24,13 +18,17 @@ import (
 const minCapacityShare = 0.001
 
 // FrontierOptions configures a multi-RDN front-end tier run: the base
-// single-RDN experiment options plus the tier shape. Options.Recorder is
-// ignored here — each front end records into its own Recorders slot.
+// experiment options plus the tier shape. Every Options field means what it
+// means to Run — Bus, TraceEvery and Auditor included — except that
+// Admissions is refused with more than one front end. Options.Recorder is
+// front end 1's recorder unless Recorders names one for it.
 type FrontierOptions struct {
 	Options
 
 	// RDNCount is the number of front-end instances (ids 1..RDNCount).
-	// 1 degenerates to the single-RDN harness semantics.
+	// 1 is Run: one scheduler over full capacity, no lease table, no
+	// heartbeats, and — there being no peer to fail over to — RDN-level
+	// fault events are ignored.
 	RDNCount int
 	// LeaseInterval is how long an instance may stay silent before its lease
 	// expires and its partition is taken over (default 1s).
@@ -67,7 +65,8 @@ type TierChange struct {
 	Kind  string
 }
 
-// FrontierResult is a multi-RDN run's outcome. The settlement counters
+// FrontierResult is a tier run's outcome: everything Run reports, assembled
+// by the same code, plus what only a tier produces. The settlement counters
 // close the books over every admitted request even across ownership moves:
 //
 //	AdmittedReqs == DispatchedReqs + QueuedAtEnd + LostQueuedReqs
@@ -77,65 +76,37 @@ type TierChange struct {
 // on the new owner) stays inside AdmittedReqs — it settles exactly once, on
 // whichever scheduler finally dispatches it.
 type FrontierResult struct {
-	// Rows is the per-subscriber summary in subscriber-ID order.
-	Rows []SubscriberRow
-	// Series holds per-subscriber completion samples (offsets from the end
-	// of warmup) for per-partition deviation analysis.
-	Series map[qos.SubscriberID]*metrics.Series
+	Result
+
 	// Takeovers is every ownership change in execution order.
 	Takeovers []TierChange
 	// RDNUtilization is each front end's CPU utilization over the window
-	// (index rdn−1; zeros when no RDN model was configured).
+	// (index rdn−1; zeros when no RDN model was configured). It shadows
+	// Result.RDNUtilization, which holds front end 1's.
 	RDNUtilization []float64
-	// ServedReqPerSec is the cluster-wide completion rate over the window.
-	ServedReqPerSec float64
-	// Window is the measured duration.
-	Window time.Duration
-
-	// Whole-run admission counters (warmup included).
-	AdmittedReqs int
-	ShedReqs     int
 	// RefusedDeadReqs counts arrivals that found their partition's owner
 	// crashed before takeover — connection refused at a dead front end, the
 	// tier's bounded blast radius made visible.
 	RefusedDeadReqs int
-
-	// Whole-run settlement counters.
-	DispatchedReqs int
-	DeliveredReqs  int
-	ReclaimedReqs  int
 	// FencedReqs counts dispatches refused at delivery because their epoch
 	// stamp belonged to a deposed owner; each charge was reclaimed.
-	FencedReqs    int
-	InflightAtEnd int
+	FencedReqs int
 	// HandedOffReqs counts queued requests moved to a new owner intact.
 	HandedOffReqs int
 	// LostQueuedReqs counts queued requests destroyed by an RDN crash (plus
 	// any handoff requeue the new owner's queue limit refused).
 	LostQueuedReqs int
-	QueuedAtEnd    int
-
-	// BalanceViolations counts per-tick audits (across every live scheduler)
-	// that found a balance below its clamp floor. Must be 0.
-	BalanceViolations int
 }
 
-// fflight carries one frontier dispatch across its wire and service hops,
-// stamped with the dispatching RDN and its grant epoch for delivery fencing.
-type fflight struct {
-	req       *workload.Request
-	node      *RPN
-	rdn       int
-	grant     uint64
-	epoch     int
-	effective qos.Vector
-}
-
-// inflightOwner remembers who dispatched an in-flight request so an RPN
-// crash reclaims the charge on the right scheduler.
-type inflightOwner struct {
-	sub qos.SubscriberID
-	rdn int
+// tier is what a run with more than one front end adds to the simulation:
+// the lease table and the partition geography the hops route through.
+type tier struct {
+	table *frontier.Table
+	// Group geography: subscriber→group, member lists, aggregate reservations.
+	groupOf   map[qos.SubscriberID]string
+	groupSubs map[string][]qos.Subscriber
+	groupRes  map[string]qos.GRPS
+	totalRes  qos.GRPS
 }
 
 // RunFrontier executes one experiment on an N-instance front-end tier:
@@ -144,785 +115,301 @@ type inflightOwner struct {
 // of every RPN's capacity, and a lease table (heartbeats on the virtual
 // clock) detects dead instances, moves their partitions to survivors with a
 // bumped fencing epoch, and hands partitions back when the preferred home
-// rejoins. With RDNCount == 1 the tier degenerates to Run's semantics: one
-// scheduler over full capacity, no rebalancing, a lease table that never
-// moves anything.
+// rejoins. It is the same event loop as Run plus the lease table; with
+// RDNCount == 1 it is Run.
 func RunFrontier(opts FrontierOptions) (*FrontierResult, error) {
-	opts = opts.withFrontierDefaults()
-	if len(opts.Subscribers) == 0 {
-		return nil, errors.New("cluster: at least one subscriber required")
-	}
-	if len(opts.Sources) == 0 && len(opts.ReplayTrace) == 0 {
-		return nil, errors.New("cluster: a load source or replay trace required")
-	}
-	if len(opts.Recorders) > opts.RDNCount {
-		return nil, fmt.Errorf("cluster: %d recorders for %d RDNs", len(opts.Recorders), opts.RDNCount)
-	}
-
-	dir, err := qos.NewDirectory(opts.Subscribers)
+	s, err := newSim(opts.withFrontierDefaults())
 	if err != nil {
 		return nil, err
 	}
-	n := opts.RDNCount
-
-	// Group geography: member lists, aggregate reservations, subscriber→group.
-	groupOf := make(map[qos.SubscriberID]string, dir.Len())
-	groupSubs := make(map[string][]qos.Subscriber)
-	groupRes := make(map[string]qos.GRPS)
-	var totalRes qos.GRPS
-	for _, sub := range opts.Subscribers {
-		groupOf[sub.ID] = sub.Group
-		groupSubs[sub.Group] = append(groupSubs[sub.Group], sub)
-		groupRes[sub.Group] += sub.Reservation
-		totalRes += sub.Reservation
-	}
-	groups := make([]string, 0, len(groupSubs))
-	for g := range groupSubs {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-
-	tb, err := frontier.NewTable(frontier.Config{RDNs: n, LeaseInterval: opts.LeaseInterval}, groups)
-	if err != nil {
+	if err := s.run(); err != nil {
 		return nil, err
 	}
+	return s.result(), nil
+}
 
-	rpns := make([]*RPN, opts.NumRPNs)
-	baseCaps := make([]qos.Vector, opts.NumRPNs)
-	for i := range rpns {
-		rpns[i] = NewRPN(core.NodeID(i+1), opts.RPNSpeed, opts.LinkBandwidth)
-		rpns[i].SetOverhead(opts.RPNOverhead)
-		rpns[i].SetCache(opts.CacheEntries)
-		baseCaps[i] = rpns[i].Capacity()
+// buildTier partitions the subscribers over RDNCount front ends: a lease
+// table over the tenant groups, and per instance a scheduler holding its
+// partition's subscribers on its reservation share of every RPN.
+func (s *sim) buildTier() error {
+	t := &tier{
+		groupOf:   make(map[qos.SubscriberID]string, len(s.opts.Subscribers)),
+		groupSubs: make(map[string][]qos.Subscriber),
+		groupRes:  make(map[string]qos.GRPS),
 	}
-	byID := make(map[core.NodeID]*RPN, len(rpns))
-	for _, r := range rpns {
-		byID[r.id] = r
+	for _, sub := range s.opts.Subscribers {
+		t.groupOf[sub.ID] = sub.Group
+		t.groupSubs[sub.Group] = append(t.groupSubs[sub.Group], sub)
+		t.groupRes[sub.Group] += sub.Reservation
+		t.totalRes += sub.Reservation
 	}
-
-	coreCfg := core.Config{
-		Cycle:                opts.SchedCycle,
-		CreditWindow:         opts.CreditWindow,
-		OutstandingWindow:    opts.OutstandingWindow,
-		Gate:                 opts.Gate,
-		PredictionAlpha:      opts.SchedulerAlpha,
-		DisableCapacityDrain: opts.DisableCapacityDrain,
+	groups := sortedKeys(t.groupSubs)
+	var err error
+	t.table, err = frontier.NewTable(frontier.Config{RDNs: s.opts.RDNCount, LeaseInterval: s.opts.LeaseInterval}, groups)
+	if err != nil {
+		return err
 	}
-
-	// grant is each instance's believed ownership: group → the epoch at
-	// which the lease table granted it. A deposed owner keeps its stale
-	// entry (it has no way to know) — its dispatches carry the old epoch and
-	// die at the delivery fence.
-	grant := make([]map[string]uint64, n+1)
-	procAlive := make([]bool, n+1)
-	for r := 1; r <= n; r++ {
-		grant[r] = make(map[string]uint64)
-		procAlive[r] = true
+	s.tier = t
+	s.fronts = make([]*frontEnd, s.opts.RDNCount)
+	for i := range s.fronts {
+		s.fronts[i] = &frontEnd{id: i + 1, alive: true, grant: make(map[string]uint64)}
 	}
 	for _, g := range groups {
-		own, _ := tb.Owner(g)
-		grant[own.RDN][g] = own.Epoch
+		own, _ := t.table.Owner(g)
+		s.fronts[own.RDN-1].grant[g] = own.Epoch
 	}
-	partShare := func(r int) float64 {
-		if totalRes <= 0 {
-			return 1 / float64(n)
-		}
-		var res qos.GRPS
-		for g := range grant[r] {
-			res += groupRes[g]
-		}
-		share := float64(res / totalRes)
-		if share < minCapacityShare {
-			share = minCapacityShare
-		}
-		return share
-	}
-	nodeCfgsFor := func(share float64) []core.NodeConfig {
-		cfgs := make([]core.NodeConfig, len(rpns))
-		for i, r := range rpns {
-			c := baseCaps[i]
-			if n > 1 {
-				c = c.Scale(share)
-			}
-			cfgs[i] = core.NodeConfig{ID: r.id, Capacity: c}
-		}
-		return cfgs
-	}
-
-	scheds := make([]*core.Scheduler, n+1)
-	for r := 1; r <= n; r++ {
+	for _, fe := range s.fronts {
 		var subs []qos.Subscriber
-		for g := range grant[r] {
-			subs = append(subs, groupSubs[g]...)
+		for g := range fe.grant {
+			subs = append(subs, t.groupSubs[g]...)
 		}
 		sort.Slice(subs, func(i, j int) bool { return subs[i].ID < subs[j].ID })
-		rdir, err := qos.NewDirectory(subs)
+		dir, err := qos.NewDirectory(subs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		scheds[r], err = core.New(rdir, nodeCfgsFor(partShare(r)), coreCfg)
-		if err != nil {
-			return nil, err
+		if fe.sched, err = core.New(dir, s.nodeConfigs(s.partShare(fe)), s.coreConfig()); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	var inj *faults.Injector
-	if opts.Faults != nil {
-		if err := opts.Faults.ValidateCluster(opts.NumRPNs, n); err != nil {
-			return nil, err
-		}
-		inj, err = faults.NewInjector(*opts.Faults)
-		if err != nil {
-			return nil, err
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
+}
 
-	classifier := classify.NewHostClassifier(dir)
-	engine := vclock.NewEngine(time.Time{})
-	fronts := make([]*rdn, n+1)
-	for r := 1; r <= n; r++ {
-		fronts[r] = &rdn{model: opts.RDN}
+// partShare is the fraction of every RPN's capacity a front end's scheduler
+// believes it holds: its partition's share of the total reservation.
+func (s *sim) partShare(fe *frontEnd) float64 {
+	if s.tier.totalRes <= 0 {
+		return 1 / float64(len(s.fronts))
 	}
+	var res qos.GRPS
+	for g := range fe.grant {
+		res += s.tier.groupRes[g]
+	}
+	return max(float64(res/s.tier.totalRes), minCapacityShare)
+}
 
-	total := opts.Warmup + opts.Duration
-	start := engine.Now()
-	measureFrom := start.Add(opts.Warmup)
-
-	recAt := func(r int) *flightrec.Recorder {
-		if r >= 1 && r <= len(opts.Recorders) {
-			return opts.Recorders[r-1]
-		}
-		return nil
-	}
-	for r := 1; r <= n; r++ {
-		if rec := recAt(r); rec != nil {
-			rec.SetClock(func() time.Duration { return engine.Now().Sub(start) })
-			rec.SetRDN(r)
-			scheds[r].SetRecorder(rec)
-		}
-	}
-	lowestAliveRec := func() *flightrec.Recorder {
-		for r := 1; r <= n; r++ {
-			if procAlive[r] {
-				if rec := recAt(r); rec != nil {
-					return rec
-				}
-			}
-		}
-		return nil
-	}
-
-	// Arrival stream, exactly as Run materializes it.
-	var arrivals []workload.Request
-	if len(opts.ReplayTrace) > 0 {
-		arrivals = workload.Merge(opts.ReplayTrace)
-	} else {
-		var streams [][]workload.Request
-		var nextID uint64 = 1
-		for _, src := range opts.Sources {
-			var reqs []workload.Request
-			reqs, nextID = src.Schedule(total, nextID)
-			streams = append(streams, reqs)
-		}
-		arrivals = workload.Merge(streams...)
-	}
-
-	tp := metrics.NewThroughput()
-	series := make(map[qos.SubscriberID]*metrics.Series, dir.Len())
-	for _, id := range dir.IDs() {
-		series[id] = &metrics.Series{}
-	}
-	counts := struct {
-		offered, served, dropped map[qos.SubscriberID]int
-	}{
-		offered: make(map[qos.SubscriberID]int),
-		served:  make(map[qos.SubscriberID]int),
-		dropped: make(map[qos.SubscriberID]int),
-	}
-	latencies := make(map[qos.SubscriberID][]float64, dir.Len())
-	inWindow := func(t time.Time) bool { return !t.Before(measureFrom) }
-	units := func(v qos.Vector) float64 {
-		if opts.UnitResource != 0 {
-			return v.UnitsOf(opts.UnitResource)
-		}
-		return v.GenericUnits()
-	}
-
-	res := &FrontierResult{
-		Series:         series,
-		Window:         opts.Duration,
-		RDNUtilization: make([]float64, n),
-	}
-	infl := make(map[core.NodeID]map[uint64]inflightOwner, len(rpns))
-	crashedRPN := make(map[core.NodeID]bool, len(rpns))
-	for _, r := range rpns {
-		infl[r.id] = make(map[uint64]inflightOwner)
-	}
-
-	// Admission: classify, route to the partition owner's front end, charge
-	// its CPU, enqueue on its scheduler after the admission delay. A dead
-	// owner refuses the connection outright — that partition is dark until
-	// the lease expires and a survivor takes over.
-	enqueueHop := func(arg any) {
-		req := arg.(*workload.Request)
-		now := engine.Now()
-		sub, ok := classifier.Classify(req.Host, req.Path)
-		if !ok {
-			return
-		}
-		u := units(req.Cost)
-		if inWindow(now) {
-			tp.Offered(sub, u)
-			counts.offered[sub]++
-		}
-		own, found := tb.Owner(groupOf[sub])
-		if !found || !procAlive[own.RDN] {
-			res.RefusedDeadReqs++
-			if inWindow(now) {
-				tp.Dropped(sub, u)
-				counts.dropped[sub]++
-			}
-			return
-		}
-		var affinity uint64
-		if opts.LocalityDispatch {
-			affinity = localityKey(req.Host, req.Path)
-		}
-		err := scheds[own.RDN].Enqueue(core.Request{ID: req.ID, Subscriber: sub, Affinity: affinity, Payload: req})
-		if err != nil {
-			res.ShedReqs++
-			if inWindow(now) {
-				tp.Dropped(sub, u)
-				counts.dropped[sub]++
-			}
-		} else {
-			res.AdmittedReqs++
-		}
-	}
-	arrivalHop := func(arg any) {
-		req := arg.(*workload.Request)
-		now := engine.Now()
-		sub, ok := classifier.Classify(req.Host, req.Path)
-		if !ok {
-			// Unclassifiable traffic still costs front-end CPU somewhere;
-			// charge the lowest live instance, mirroring Run's single front.
-			for r := 1; r <= n; r++ {
-				if procAlive[r] {
-					engine.AtArg(fronts[r].admit(now), enqueueHop, arg)
-					return
-				}
-			}
-			return
-		}
-		own, found := tb.Owner(groupOf[sub])
-		if !found {
-			return
-		}
-		if !procAlive[own.RDN] {
-			// Connection refused at a crashed front end.
-			res.RefusedDeadReqs++
-			if inWindow(now) {
-				u := units(req.Cost)
-				tp.Offered(sub, u)
-				counts.offered[sub]++
-				tp.Dropped(sub, u)
-				counts.dropped[sub]++
-			}
-			return
-		}
-		engine.AtArg(fronts[own.RDN].admit(now), enqueueHop, arg)
-	}
-	for i := range arrivals {
-		engine.AtArg(start.Add(arrivals[i].Arrival), arrivalHop, &arrivals[i])
-	}
-
-	// rebalance repoints every live scheduler's believed node capacities at
-	// its partition's reservation share.
-	rebalance := func() {
-		if n == 1 {
-			return
-		}
-		for r := 1; r <= n; r++ {
-			if !procAlive[r] {
-				continue
-			}
-			share := partShare(r)
-			for i, rp := range rpns {
-				// Known nodes with positive capacity cannot fail.
-				_ = scheds[r].SetNodeCapacity(rp.id, baseCaps[i].Scale(share))
-			}
-		}
-	}
-
-	hasGroup := func(sc *core.Scheduler, g string) bool {
-		for _, have := range sc.Groups() {
-			if have == g {
-				return true
-			}
-		}
-		return false
-	}
-
-	// applyChange executes one lease-table ownership change.
-	applyChange := func(ch frontier.Change, off time.Duration) {
-		var states []core.SubscriberState
-		var orphans []core.Request
-		switch ch.Kind {
-		case frontier.Handback:
-			// The old owner is live and cooperating: export fresh state (the
-			// beat-trail snapshot is one beat stale) and drain its queues.
-			if st, err := scheds[ch.From].ExportGroup(ch.Group); err == nil {
-				states = st
-			} else {
-				states = ch.Snapshot
-			}
-			if o, err := scheds[ch.From].RemoveGroup(ch.Group); err == nil {
-				orphans = o
-			}
-			delete(grant[ch.From], ch.Group)
-		case frontier.Takeover:
-			// The old owner is unreachable — crashed, or alive but deposed
-			// (delayed heartbeats). Rebuild from its last heartbeat snapshot;
-			// never touch its scheduler. A deposed survivor keeps dispatching
-			// from stale queues until the delivery fence refuses each one.
-			states = ch.Snapshot
-			if states == nil {
-				for _, sub := range groupSubs[ch.Group] {
-					states = append(states, core.SubscriberState{
-						ID: sub.ID, Reservation: sub.Reservation,
-						QueueLimit: sub.QueueLimit, Group: sub.Group,
-					})
-				}
-			}
-		}
-		// A deposed instance repossessing its home partition still holds the
-		// stale copy: drop it first, keeping its queued requests.
-		var stale []core.Request
-		if hasGroup(scheds[ch.To], ch.Group) {
-			stale, _ = scheds[ch.To].RemoveGroup(ch.Group)
-		}
-		for _, st := range states {
-			// Cannot collide: the group was just removed if present.
-			_ = scheds[ch.To].ImportSubscriberState(st)
-		}
-		grant[ch.To][ch.Group] = ch.Epoch
-		for _, rq := range append(orphans, stale...) {
-			if err := scheds[ch.To].Enqueue(rq); err != nil {
-				res.LostQueuedReqs++
-			} else {
-				res.HandedOffReqs++
-			}
-		}
-		if rec := recAt(ch.To); rec != nil {
-			rec.Annotate(flightrec.TierEvent{
-				Kind: ch.Kind.String(), Group: ch.Group,
-				From: ch.From, To: ch.To, Epoch: ch.Epoch,
-			})
-		}
-		res.Takeovers = append(res.Takeovers, TierChange{
-			At: off, Group: ch.Group, From: ch.From, To: ch.To,
-			Epoch: ch.Epoch, Kind: ch.Kind.String(),
-		})
-	}
-
-	// RDN fault schedule. A crash destroys the instance's queued requests
-	// and silences its heartbeats; its in-flight dispatches complete (the
-	// RPN already holds the spliced connection). Recovery restarts the
-	// instance empty — the lease table hands its home partition back with
-	// full state on its next heartbeat.
-	if inj != nil {
-		for _, ev := range opts.Faults.Events {
-			ev := ev
-			switch ev.Kind {
-			case faults.NodeCrash:
-				engine.At(start.Add(ev.At), func() {
-					id := ev.Node
-					crashedRPN[id] = true
-					ids := make([]uint64, 0, len(infl[id]))
-					for reqID := range infl[id] {
-						ids = append(ids, reqID)
-					}
-					sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-					for _, reqID := range ids {
-						e := infl[id][reqID]
-						res.ReclaimedReqs++
-						if procAlive[e.rdn] {
-							scheds[e.rdn].ReleaseDispatch(e.sub, id, reqID)
-						}
-					}
-					infl[id] = make(map[uint64]inflightOwner)
-					byID[id].Crash()
-				})
-			case faults.NodeRecover:
-				engine.At(start.Add(ev.At), func() { crashedRPN[ev.Node] = false })
-			case faults.RDNCrash:
-				engine.At(start.Add(ev.At), func() {
-					r := ev.RDN
-					if !procAlive[r] {
-						return
-					}
-					procAlive[r] = false
-					gs := make([]string, 0, len(grant[r]))
-					for g := range grant[r] {
-						gs = append(gs, g)
-					}
-					sort.Strings(gs)
-					for _, g := range gs {
-						if orphans, err := scheds[r].RemoveGroup(g); err == nil {
-							res.LostQueuedReqs += len(orphans)
-						}
-					}
-					grant[r] = make(map[string]uint64)
-					if rec := lowestAliveRec(); rec != nil {
-						rec.Annotate(flightrec.TierEvent{Kind: "rdn-crash", From: r})
-					}
-				})
-			case faults.RDNRecover:
-				engine.At(start.Add(ev.At), func() {
-					r := ev.RDN
-					if procAlive[r] {
-						return
-					}
-					emptyDir, err := qos.NewDirectory(nil)
-					if err != nil {
-						return
-					}
-					sc, err := core.New(emptyDir, nodeCfgsFor(minCapacityShare), coreCfg)
-					if err != nil {
-						return
-					}
-					scheds[r] = sc
-					procAlive[r] = true
-					if rec := recAt(r); rec != nil {
-						sc.SetRecorder(rec)
-						rec.Annotate(flightrec.TierEvent{Kind: "rdn-recover", To: r})
-					}
-				})
-			}
-		}
-		for _, tr := range inj.Transitions() {
-			tr := tr
-			engine.At(start.Add(tr), func() {
-				for _, r := range rpns {
-					r.SetSpeedFactor(inj.Speed(r.id, tr))
-					r.SetBandwidthFactor(inj.Bandwidth(r.id, tr))
-				}
-			})
-		}
-	}
-
-	// Balance clamp floors, audited every tick on every live scheduler.
-	floors := make(map[qos.SubscriberID]qos.Vector, dir.Len())
-	for _, sub := range opts.Subscribers {
-		floors[sub.ID] = sub.Reservation.PerCycle(opts.CreditWindow).Neg()
-	}
-
-	// Dispatch chain with pooled carriers, as in Run, plus the epoch fence:
-	// a dispatch whose (rdn, grant epoch) stamp is no longer the group's
-	// current ownership is refused at delivery and its charge reclaimed.
-	var flightFree []*fflight
-	getFlight := func() *fflight {
-		if k := len(flightFree); k > 0 {
-			f := flightFree[k-1]
-			flightFree[k-1] = nil
-			flightFree = flightFree[:k-1]
-			return f
-		}
-		return &fflight{}
-	}
-	putFlight := func(f *fflight) {
-		f.req, f.node = nil, nil
-		flightFree = append(flightFree, f)
-	}
-	finishHop := func(arg any) {
-		f := arg.(*fflight)
-		node, req, epoch, effective := f.node, f.req, f.epoch, f.effective
-		putFlight(f)
-		if node.Epoch() != epoch {
-			// RPN crashed mid-service; the crash handler reclaimed this one.
-			return
-		}
-		delete(infl[node.id], req.ID)
-		res.DeliveredReqs++
-		node.chargeCompletion(*req, effective)
-		now := engine.Now()
-		if inWindow(now) {
-			u := units(req.Cost)
-			tp.Served(req.Subscriber, u)
-			counts.served[req.Subscriber]++
-			series[req.Subscriber].Record(now.Sub(measureFrom), u)
-			latency := now.Sub(start.Add(req.Arrival))
-			latencies[req.Subscriber] = append(latencies[req.Subscriber], latency.Seconds())
-		}
-	}
-	deliverHop := func(arg any) {
-		f := arg.(*fflight)
-		if crashedRPN[f.node.id] {
-			delete(infl[f.node.id], f.req.ID)
-			res.ReclaimedReqs++
-			if procAlive[f.rdn] {
-				scheds[f.rdn].ReleaseDispatch(f.req.Subscriber, f.node.id, f.req.ID)
-			}
-			putFlight(f)
-			return
-		}
-		g := groupOf[f.req.Subscriber]
-		if !tb.Valid(g, f.rdn, f.grant) {
-			delete(infl[f.node.id], f.req.ID)
-			res.FencedReqs++
-			if procAlive[f.rdn] {
-				scheds[f.rdn].ReleaseDispatch(f.req.Subscriber, f.node.id, f.req.ID)
-			}
-			if rec := recAt(f.rdn); rec != nil {
-				rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: g, From: f.rdn, Epoch: f.grant})
-			}
-			putFlight(f)
-			return
-		}
-		f.epoch = f.node.Epoch()
-		var fin time.Time
-		fin, f.effective = f.node.process(engine.Now(), *f.req)
-		engine.AtArg(fin, finishHop, f)
-	}
-	stopSched := engine.Every(opts.SchedCycle, func() {
-		for r := 1; r <= n; r++ {
-			if !procAlive[r] {
-				continue
-			}
-			for _, d := range scheds[r].Tick() {
-				req, ok := d.Req.Payload.(*workload.Request)
-				if !ok {
-					continue
-				}
-				res.DispatchedReqs++
-				infl[d.Node][req.ID] = inflightOwner{sub: d.Req.Subscriber, rdn: r}
-				f := getFlight()
-				f.req, f.node, f.rdn = req, byID[d.Node], r
-				f.grant = grant[r][groupOf[d.Req.Subscriber]]
-				engine.AfterArg(opts.DispatchLatency, deliverHop, f)
-			}
-			for id, floor := range floors {
-				b, ok := scheds[r].Balance(id)
-				if !ok {
-					continue
-				}
-				slack := b.Sub(floor)
-				if slack.CPUTime < -time.Microsecond || slack.DiskTime < -time.Microsecond || slack.NetBytes < -1 {
-					res.BalanceViolations++
-				}
-			}
-		}
-	})
-	defer stopSched()
-
-	// Accounting: one cumulative stream per RPN, diffed at delivery by a
-	// single global differ, the delta split by current partition ownership
-	// so each subscriber's usage debits exactly one scheduler. Feedback
-	// health (breakers, slow-start) is per RPN and applied to every live
-	// scheduler's node weight.
-	brk := make(map[core.NodeID]*breaker.Breaker, len(rpns))
-	sendSeq := make(map[core.NodeID]int, len(rpns))
-	lastSeq := make(map[core.NodeID]int, len(rpns))
-	lastEp := make(map[core.NodeID]int, len(rpns))
-	lastSeen := make(map[core.NodeID]core.UsageReport, len(rpns))
-	for _, r := range rpns {
-		brk[r.id] = breaker.New(breaker.Config{
-			Threshold: unhealthyAfterMissedAcct,
-			SlowStart: slowStartAcctCycles,
-		})
-		lastSeq[r.id] = -1
-	}
-	applyWeight := func(id core.NodeID) {
-		w := brk[id].Weight()
-		for r := 1; r <= n; r++ {
-			if procAlive[r] {
-				// Known nodes cannot fail to update.
-				_ = scheds[r].SetNodeWeight(id, w)
-			}
-		}
-	}
-	var stops []func()
-	var acctFree []*acctFlight
-	acctHop := func(arg any) {
-		a := arg.(*acctFlight)
-		id, msg := a.node, a.msg
-		a.msg = acctMsg{}
-		acctFree = append(acctFree, a)
-		if msg.epoch == lastEp[id] && msg.seq <= lastSeq[id] {
-			return // stale: overtaken inside a delay window
-		}
-		prev := lastSeen[id]
-		if msg.epoch != lastEp[id] {
-			prev = core.UsageReport{}
-		}
-		lastSeq[id], lastEp[id], lastSeen[id] = msg.seq, msg.epoch, msg.cum
-		delta := diffCumulative(msg.cum, prev)
-		if n == 1 {
-			if procAlive[1] {
-				_ = scheds[1].ReportUsage(delta)
-			}
-		} else {
-			per := make(map[int]*core.UsageReport)
-			for sub, u := range delta.BySubscriber {
-				own, ok := tb.Owner(groupOf[sub])
-				if !ok || !procAlive[own.RDN] {
-					continue // ownerless span: usage of a dead partition
-				}
-				rep := per[own.RDN]
-				if rep == nil {
-					rep = &core.UsageReport{Node: delta.Node, BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage)}
-					per[own.RDN] = rep
-				}
-				rep.BySubscriber[sub] = u
-				rep.Total = rep.Total.Add(u.Usage)
-			}
-			owners := make([]int, 0, len(per))
-			for r := range per {
-				owners = append(owners, r)
-			}
-			sort.Ints(owners)
-			for _, r := range owners {
-				_ = scheds[r].ReportUsage(*per[r])
-			}
-		}
-		brk[id].Success(breaker.Poll, engine.Now())
-		applyWeight(id)
-	}
-	for _, r := range rpns {
-		r := r
-		stops = append(stops, engine.Every(opts.AcctCycle, func() {
-			now := engine.Now()
-			brk[r.id].Tick(now)
-			applyWeight(r.id)
-			miss := func() {
-				brk[r.id].Failure(breaker.Poll, now)
-				applyWeight(r.id)
-			}
-			if crashedRPN[r.id] {
-				miss()
-				return
-			}
-			off := now.Sub(start)
-			if inj != nil && (inj.DropAcct(r.id, off) || inj.DropFrame(r.id, off)) {
-				miss()
-				return
-			}
-			msg := acctMsg{seq: sendSeq[r.id], epoch: r.Epoch(), cum: r.Accountant().CumulativeReport()}
-			sendSeq[r.id]++
-			delay := opts.FeedbackLatency
-			if inj != nil {
-				delay += inj.AcctDelay(r.id, off)
-			}
-			var a *acctFlight
-			if k := len(acctFree); k > 0 {
-				a = acctFree[k-1]
-				acctFree[k-1] = nil
-				acctFree = acctFree[:k-1]
-			} else {
-				a = &acctFlight{}
-			}
-			a.node, a.msg = r.id, msg
-			engine.AfterArg(delay, acctHop, a)
-		}))
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-
-	// Lease heartbeats: each live instance exports accounting snapshots of
-	// its partition and beats the table; a LeaseDelay window stretches the
-	// wire. Expiry checks run at beat arrival — a survivor's beat is what
-	// discovers a dead peer's expired lease and executes the takeover.
-	beatArrive := func(r int, snaps map[string][]core.SubscriberState) {
-		off := engine.Now().Sub(start)
-		// Unknown RDNs cannot occur: beats originate from ids 1..n.
-		_ = tb.Beat(r, off, snaps)
-		changes := tb.Check(off)
-		for _, ch := range changes {
-			applyChange(ch, off)
-		}
-		if len(changes) > 0 {
-			rebalance()
-		}
-	}
-	stopBeats := engine.Every(opts.BeatInterval, func() {
-		for r := 1; r <= n; r++ {
-			if !procAlive[r] {
-				continue
-			}
-			r := r
-			gs := make([]string, 0, len(grant[r]))
-			for g := range grant[r] {
-				gs = append(gs, g)
-			}
-			sort.Strings(gs)
-			snaps := make(map[string][]core.SubscriberState, len(gs))
-			for _, g := range gs {
-				if st, err := scheds[r].ExportGroup(g); err == nil {
-					snaps[g] = st
-				}
-			}
-			var delay time.Duration
-			if inj != nil {
-				delay = inj.LeaseDelayAt(r, engine.Now().Sub(start))
-			}
-			engine.After(delay, func() { beatArrive(r, snaps) })
-		}
-	})
-	defer stopBeats()
-
-	busyAtWindowStart := make([]time.Duration, n+1)
-	engine.At(measureFrom, func() {
-		for r := 1; r <= n; r++ {
-			busyAtWindowStart[r] = fronts[r].busy
-		}
-	})
-
-	if err := engine.RunUntil(start.Add(total)); err != nil {
-		return nil, err
-	}
-
-	for r := 1; r <= n; r++ {
-		for _, id := range dir.IDs() {
-			res.QueuedAtEnd += scheds[r].QueueLen(id)
-		}
-	}
-	for _, m := range infl {
-		res.InflightAtEnd += len(m)
-	}
-	sec := opts.Duration.Seconds()
-	var servedReqs int
-	for _, row := range tp.Rows(opts.Duration) {
-		sub, err := dir.Subscriber(row.ID)
-		if err != nil {
+// rebalance repoints every live scheduler's believed node capacities at
+// its partition's reservation share.
+func (s *sim) rebalance() {
+	for _, fe := range s.fronts {
+		if !fe.alive {
 			continue
 		}
-		lats := latencies[row.ID]
-		res.Rows = append(res.Rows, SubscriberRow{
-			ID:          row.ID,
-			Reservation: sub.Reservation,
-			Offered:     row.OfferedRate,
-			Served:      row.ServedRate,
-			Dropped:     row.DroppedRate,
-			OfferedReqs: counts.offered[row.ID],
-			ServedReqs:  counts.served[row.ID],
-			DroppedReqs: counts.dropped[row.ID],
-			MeanLatency: time.Duration(metrics.Mean(lats) * float64(time.Second)),
-			P95Latency:  time.Duration(metrics.Percentile(lats, 95) * float64(time.Second)),
-		})
-		servedReqs += counts.served[row.ID]
-	}
-	res.ServedReqPerSec = float64(servedReqs) / sec
-	if opts.RDN != nil {
-		for r := 1; r <= n; r++ {
-			util := (fronts[r].busy - busyAtWindowStart[r]).Seconds() / sec
-			if util > 1 {
-				util = 1
-			}
-			res.RDNUtilization[r-1] = util
+		for _, cfg := range s.nodeConfigs(s.partShare(fe)) {
+			// Known nodes with positive capacity cannot fail.
+			_ = fe.sched.SetNodeCapacity(cfg.ID, cfg.Capacity)
 		}
 	}
-	return res, nil
+}
+
+// owner resolves a subscriber's current partition owner; nil while that
+// instance is dead — the partition is dark until the lease expires and a
+// survivor takes over.
+func (s *sim) owner(sub qos.SubscriberID) *frontEnd {
+	own, found := s.tier.table.Owner(s.tier.groupOf[sub])
+	if !found || !s.fronts[own.RDN-1].alive {
+		return nil
+	}
+	return s.fronts[own.RDN-1]
+}
+
+// route picks the instance whose CPU an arriving connection costs: its
+// partition owner's. A dead owner refuses the connection outright — no
+// admission work, straight to the enqueue hop's refusal.
+func (s *sim) route(req *workload.Request) *frontEnd {
+	sub, ok := s.classifier.Classify(req.Host, req.Path)
+	if !ok {
+		// Unclassifiable traffic still costs front-end CPU somewhere;
+		// charge the lowest live instance, as the lone front end would be.
+		for _, fe := range s.fronts {
+			if fe.alive {
+				return fe
+			}
+		}
+		return nil
+	}
+	fe := s.owner(sub)
+	if fe == nil {
+		s.enqueueHop(req)
+	}
+	return fe
+}
+
+// reportByOwner splits one RPN's usage delta by current partition ownership
+// so each subscriber's usage debits exactly one scheduler.
+func (s *sim) reportByOwner(delta core.UsageReport) {
+	per := make([]*core.UsageReport, len(s.fronts))
+	for sub, u := range delta.BySubscriber {
+		fe := s.owner(sub)
+		if fe == nil {
+			continue // ownerless span: usage of a dead partition
+		}
+		rep := per[fe.id-1]
+		if rep == nil {
+			rep = &core.UsageReport{Node: delta.Node, BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage)}
+			per[fe.id-1] = rep
+		}
+		rep.BySubscriber[sub] = u
+		rep.Total = rep.Total.Add(u.Usage)
+	}
+	for i, rep := range per {
+		if rep != nil {
+			// Reports for known nodes cannot fail.
+			_ = s.fronts[i].sched.ReportUsage(*rep)
+		}
+	}
+}
+
+// crashFront fail-stops one instance: its queued requests are destroyed and
+// its heartbeats go silent; its in-flight dispatches complete (the RPN
+// already holds the spliced connection).
+func (s *sim) crashFront(fe *frontEnd) {
+	if !fe.alive {
+		return
+	}
+	fe.alive = false
+	for _, g := range sortedKeys(fe.grant) {
+		if orphans, err := fe.sched.RemoveGroup(g); err == nil {
+			s.lostQueued += len(orphans)
+		}
+	}
+	fe.grant = make(map[string]uint64)
+	for _, peer := range s.fronts {
+		if peer.alive && peer.rec != nil {
+			peer.rec.Annotate(flightrec.TierEvent{Kind: "rdn-crash", From: fe.id})
+			break
+		}
+	}
+}
+
+// recoverFront restarts a crashed instance empty — the lease table hands
+// its home partition back with full state on its next heartbeat.
+func (s *sim) recoverFront(fe *frontEnd) {
+	if fe.alive {
+		return
+	}
+	emptyDir, err := qos.NewDirectory(nil)
+	if err != nil {
+		return
+	}
+	sc, err := core.New(emptyDir, s.nodeConfigs(minCapacityShare), s.coreConfig())
+	if err != nil {
+		return
+	}
+	fe.sched, fe.alive = sc, true
+	if fe.rec != nil {
+		sc.SetRecorder(fe.rec)
+		fe.rec.Annotate(flightrec.TierEvent{Kind: "rdn-recover", To: fe.id})
+	}
+}
+
+// beat is the lease heartbeat: each live instance exports accounting
+// snapshots of its partition and beats the table; a LeaseDelay window
+// stretches the wire.
+func (s *sim) beat() {
+	for _, fe := range s.fronts {
+		if !fe.alive {
+			continue
+		}
+		fe := fe
+		snaps := make(map[string][]core.SubscriberState, len(fe.grant))
+		for _, g := range sortedKeys(fe.grant) {
+			if st, err := fe.sched.ExportGroup(g); err == nil {
+				snaps[g] = st
+			}
+		}
+		var delay time.Duration
+		if s.inj != nil {
+			delay = s.inj.LeaseDelayAt(fe.id, s.sinceStart())
+		}
+		s.engine.After(delay, func() { s.beatArrive(fe, snaps) })
+	}
+}
+
+// beatArrive lands one heartbeat on the lease table. Expiry checks run at
+// beat arrival — a survivor's beat is what discovers a dead peer's expired
+// lease and executes the takeover.
+func (s *sim) beatArrive(fe *frontEnd, snaps map[string][]core.SubscriberState) {
+	off := s.sinceStart()
+	// Unknown RDNs cannot occur: beats originate from the tier's own ids.
+	_ = s.tier.table.Beat(fe.id, off, snaps)
+	changes := s.tier.table.Check(off)
+	for _, ch := range changes {
+		s.applyChange(ch, off)
+	}
+	if len(changes) > 0 {
+		s.rebalance()
+	}
+}
+
+// applyChange executes one lease-table ownership change.
+func (s *sim) applyChange(ch frontier.Change, off time.Duration) {
+	from, to := s.fronts[ch.From-1], s.fronts[ch.To-1]
+	var states []core.SubscriberState
+	var orphans []core.Request
+	switch ch.Kind {
+	case frontier.Handback:
+		// The old owner is live and cooperating: export fresh state (the
+		// beat-trail snapshot is one beat stale) and drain its queues.
+		if st, err := from.sched.ExportGroup(ch.Group); err == nil {
+			states = st
+		} else {
+			states = ch.Snapshot
+		}
+		if o, err := from.sched.RemoveGroup(ch.Group); err == nil {
+			orphans = o
+		}
+		delete(from.grant, ch.Group)
+	case frontier.Takeover:
+		// The old owner is unreachable — crashed, or alive but deposed
+		// (delayed heartbeats). Rebuild from its last heartbeat snapshot;
+		// never touch its scheduler. A deposed survivor keeps dispatching
+		// from stale queues until the delivery fence refuses each one.
+		states = ch.Snapshot
+		if states == nil {
+			for _, sub := range s.tier.groupSubs[ch.Group] {
+				states = append(states, core.SubscriberState{
+					ID: sub.ID, Reservation: sub.Reservation,
+					QueueLimit: sub.QueueLimit, Group: sub.Group,
+				})
+			}
+		}
+	}
+	// A deposed instance repossessing its home partition still holds the
+	// stale copy: drop it first, keeping its queued requests.
+	var stale []core.Request
+	if slices.Contains(to.sched.Groups(), ch.Group) {
+		stale, _ = to.sched.RemoveGroup(ch.Group)
+	}
+	for _, st := range states {
+		// Cannot collide: the group was just removed if present.
+		_ = to.sched.ImportSubscriberState(st)
+	}
+	to.grant[ch.Group] = ch.Epoch
+	for _, rq := range append(orphans, stale...) {
+		if err := to.sched.Enqueue(rq); err != nil {
+			s.lostQueued++
+		} else {
+			s.handedOff++
+		}
+	}
+	if to.rec != nil {
+		to.rec.Annotate(flightrec.TierEvent{
+			Kind: ch.Kind.String(), Group: ch.Group,
+			From: ch.From, To: ch.To, Epoch: ch.Epoch,
+		})
+	}
+	s.takeovers = append(s.takeovers, TierChange{
+		At: off, Group: ch.Group, From: ch.From, To: ch.To,
+		Epoch: ch.Epoch, Kind: ch.Kind.String(),
+	})
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"gage/internal/faults"
 	"gage/internal/frontier"
+	"gage/internal/obs"
 	"gage/internal/qos"
 	"gage/internal/workload"
 )
@@ -147,14 +149,14 @@ func TestChaosRDNFailover(t *testing.T) {
 	}
 }
 
-// TestFrontierLeaseDelayFencing deposes a live front end: a LeaseDelay
-// window stalls the victim's heartbeats past the lease interval, a survivor
-// takes its partition over, and the deposed-but-alive victim keeps
-// dispatching from its stale queues — every such delivery must be refused
-// by the epoch fence and its charge reclaimed. When the window lifts, the
-// partition hands back.
-func TestFrontierLeaseDelayFencing(t *testing.T) {
-	const lease = 400 * time.Millisecond
+// leaseDelayLease is the lease interval of the lease-delay fencing scenario.
+const leaseDelayLease = 400 * time.Millisecond
+
+// leaseDelayFencingOptions builds the lease-delay fencing scenario and names
+// its victim: the owner of the first tenant group, whose heartbeats a
+// LeaseDelay window stalls past the lease interval.
+func leaseDelayFencingOptions(t *testing.T) (FrontierOptions, int) {
+	t.Helper()
 	part, err := frontier.NewPartitioner(3)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +172,7 @@ func TestFrontierLeaseDelayFencing(t *testing.T) {
 		Until: 5 * time.Second,
 		Delay: 2 * time.Second,
 	}}}
-	res, err := RunFrontier(FrontierOptions{
+	return FrontierOptions{
 		Options: Options{
 			Subscribers: subs,
 			Sources:     sources,
@@ -180,8 +182,20 @@ func TestFrontierLeaseDelayFencing(t *testing.T) {
 			Faults:      plan,
 		},
 		RDNCount:      3,
-		LeaseInterval: lease,
-	})
+		LeaseInterval: leaseDelayLease,
+	}, victim
+}
+
+// TestFrontierLeaseDelayFencing deposes a live front end: a LeaseDelay
+// window stalls the victim's heartbeats past the lease interval, a survivor
+// takes its partition over, and the deposed-but-alive victim keeps
+// dispatching from its stale queues — every such delivery must be refused
+// by the epoch fence and its charge reclaimed. When the window lifts, the
+// partition hands back.
+func TestFrontierLeaseDelayFencing(t *testing.T) {
+	const lease = leaseDelayLease
+	opts, victim := leaseDelayFencingOptions(t)
+	res, err := RunFrontier(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +277,76 @@ func TestFrontierDrillBlastRadius(t *testing.T) {
 		if !onVictim && row.DroppedReqs != 0 {
 			t.Errorf("survivor %s dropped %d requests", row.ID, row.DroppedReqs)
 		}
+	}
+}
+
+// TestFrontierSharesRunObservability pins what the tier gained by running
+// on Run's loop: span events on Options.Bus with every sampled request
+// settled exactly once (served, shed, refused, fenced or reclaimed), the
+// RDN-side Observed series, latency histograms and node series — through a
+// failover, where requests change hands.
+func TestFrontierSharesRunObservability(t *testing.T) {
+	opts, _ := leaseDelayFencingOptions(t)
+	var spill bytes.Buffer
+	opts.Bus = obs.NewBus(obs.BusConfig{RingSize: 64, Spill: &spill})
+	opts.TraceEvery = 4
+	res, err := RunFrontier(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadLog(&spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classified, settled := map[obs.TraceID]int{}, map[obs.TraceID]int{}
+	outcomes := map[string]int{}
+	for _, ev := range evs {
+		if ev.Kind != obs.KindSpan {
+			continue
+		}
+		switch ev.Stage {
+		case "classify":
+			classified[ev.Trace]++
+		case obs.StageSettle:
+			settled[ev.Trace]++
+			outcomes[ev.Detail]++
+		}
+	}
+	if len(classified) == 0 {
+		t.Fatal("tier run published no span events")
+	}
+	for id, n := range settled {
+		if n != 1 || classified[id] != 1 {
+			t.Errorf("trace %v: classified %d times, settled %d times, want 1 and 1", id, classified[id], n)
+		}
+	}
+	if outcomes["served"] == 0 || outcomes["fenced"] == 0 {
+		t.Errorf("settle outcomes %v, want served and fenced requests among them", outcomes)
+	}
+	for _, row := range res.Rows {
+		if res.Observed[row.ID].Len() == 0 {
+			t.Errorf("%s: no observed-usage samples on a tier run", row.ID)
+		}
+		if n := res.LatencyHist[row.ID].Snapshot().Count; n != uint64(row.ServedReqs) {
+			t.Errorf("%s: latency histogram holds %d samples, want %d served", row.ID, n, row.ServedReqs)
+		}
+	}
+	if len(res.NodeWeights) != opts.NumRPNs || res.NodeDispatches[1].Len() == 0 {
+		t.Errorf("node series missing: %d weight series, %d dispatch samples on node 1",
+			len(res.NodeWeights), res.NodeDispatches[1].Len())
+	}
+}
+
+// TestFrontierRefusesAdmissions: the scripted admission plane mutates one
+// scheduler, so a schedule on a tier is an error rather than silently
+// dropped.
+func TestFrontierRefusesAdmissions(t *testing.T) {
+	opts := FrontierOptions{Options: ElasticityDrillOptions(nil), RDNCount: 2}
+	if _, err := RunFrontier(opts); err == nil {
+		t.Fatal("Admissions with RDNCount 2 must be refused")
+	}
+	opts.RDNCount = 1
+	if _, err := RunFrontier(opts); err != nil {
+		t.Fatalf("Admissions on one front end: %v", err)
 	}
 }

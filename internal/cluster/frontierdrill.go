@@ -216,23 +216,13 @@ func (rep *FrontierDrillReport) Check() error {
 	if r.BalanceViolations != 0 {
 		return fmt.Errorf("%d balance clamp violations", r.BalanceViolations)
 	}
-	var takeoverAt time.Duration
-	var sawHandback bool
-	for _, ch := range r.Takeovers {
-		if ch.Kind == "takeover" && ch.From == rep.Victim && takeoverAt == 0 {
-			takeoverAt = ch.At
-		}
-		if ch.Kind == "handback" && ch.To == rep.Victim && ch.At >= rep.Opts.RecoverAt {
-			sawHandback = true
-		}
-	}
+	sawHandback := slices.ContainsFunc(r.Takeovers, func(ch TierChange) bool {
+		return ch.Kind == "handback" && ch.To == rep.Victim && ch.At >= rep.Opts.RecoverAt
+	})
 	if len(rep.VictimGroups) > 0 {
-		if takeoverAt == 0 {
-			return fmt.Errorf("no takeover from victim RDN %d", rep.Victim)
-		}
 		bound := rep.Opts.LeaseInterval + rep.Opts.LeaseInterval/2
-		if lat := takeoverAt - rep.Opts.CrashAt; lat <= 0 || lat > bound {
-			return fmt.Errorf("takeover latency %v outside (0, %v]", lat, bound)
+		if lat := rep.TakeoverLatency; lat <= 0 || lat > bound {
+			return fmt.Errorf("takeover from victim RDN %d after %v, want within (0, %v]", rep.Victim, lat, bound)
 		}
 		if !sawHandback {
 			return fmt.Errorf("no handback to recovered RDN %d", rep.Victim)

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"gage/internal/admitctl"
-	"gage/internal/classify"
 	"gage/internal/core"
 	"gage/internal/faults"
 	"gage/internal/flightrec"
@@ -16,7 +14,6 @@ import (
 	"gage/internal/obs"
 	"gage/internal/qos"
 	"gage/internal/telemetry"
-	"gage/internal/vclock"
 	"gage/internal/workload"
 )
 
@@ -158,10 +155,10 @@ func (o Options) withDefaults() Options {
 		o.DispatchLatency = 100 * time.Microsecond
 	}
 	if o.CreditWindow <= 0 {
-		o.CreditWindow = maxDur(core.DefaultCreditWindow, 2*o.AcctCycle)
+		o.CreditWindow = max(core.DefaultCreditWindow, 2*o.AcctCycle)
 	}
 	if o.OutstandingWindow <= 0 {
-		o.OutstandingWindow = maxDur(core.DefaultOutstandingWindow, 2*o.AcctCycle)
+		o.OutstandingWindow = max(core.DefaultOutstandingWindow, 2*o.AcctCycle)
 	}
 	if o.Duration <= 0 {
 		o.Duration = 30 * time.Second
@@ -293,22 +290,10 @@ func (r *Result) PhaseDeviation(id qos.SubscriberID, interval time.Duration) (Ph
 	if !ok {
 		return PhaseDeviation{}, fmt.Errorf("cluster: no series for subscriber %q", id)
 	}
-	var res qos.GRPS
-	for _, row := range r.Rows {
-		if row.ID == id {
-			res = row.Reservation
-		}
-	}
-	clip := func(t time.Duration) time.Duration {
-		if t < 0 {
-			return 0
-		}
-		if t > r.Window {
-			return r.Window
-		}
-		return t
-	}
-	from, to := clip(r.Fault.Start), clip(r.Fault.End)
+	row, _ := r.Row(id)
+	res := row.Reservation
+	from := min(max(r.Fault.Start, 0), r.Window)
+	to := min(max(r.Fault.End, 0), r.Window)
 	var pd PhaseDeviation
 	if d, err := s.DeviationBetween(res, 0, from, interval); err == nil {
 		pd.Pre, pd.PreOK = d, true
@@ -350,13 +335,8 @@ func (r *Result) deviation(set map[qos.SubscriberID]*metrics.Series, id qos.Subs
 	if !ok {
 		return 0, fmt.Errorf("cluster: no series for subscriber %q", id)
 	}
-	var res qos.GRPS
-	for _, row := range r.Rows {
-		if row.ID == id {
-			res = row.Reservation
-		}
-	}
-	return s.DeviationFromReservation(res, r.Window, interval)
+	row, _ := r.Row(id)
+	return s.DeviationFromReservation(row.Reservation, r.Window, interval)
 }
 
 // MeanObservedDeviation averages ObservedDeviation across all subscribers —
@@ -376,598 +356,14 @@ func (r *Result) MeanObservedDeviation(interval time.Duration) (float64, error) 
 	return sum / float64(len(r.Rows)), nil
 }
 
-// flight carries one dispatch decision across its wire-latency and
-// service-time hops. Carriers are recycled within a run so the dispatch
-// chain schedules allocation-free.
-type flight struct {
-	req       *workload.Request
-	node      *RPN
-	epoch     int
-	effective qos.Vector
-}
-
-// acctFlight carries one accounting message across its feedback-latency hop.
-type acctFlight struct {
-	node core.NodeID
-	msg  acctMsg
-}
-
-// Run executes one experiment on a fresh virtual-time engine.
+// Run executes one experiment on a fresh virtual-time engine: the simulator
+// loop with one front end.
 func Run(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if len(opts.Subscribers) == 0 {
-		return nil, errors.New("cluster: at least one subscriber required")
-	}
-	if len(opts.Sources) == 0 && len(opts.ReplayTrace) == 0 {
-		return nil, errors.New("cluster: a load source or replay trace required")
-	}
-
-	dir, err := qos.NewDirectory(opts.Subscribers)
+	res, err := RunFrontier(FrontierOptions{Options: opts})
 	if err != nil {
 		return nil, err
 	}
-
-	rpns := make([]*RPN, opts.NumRPNs)
-	nodeCfgs := make([]core.NodeConfig, opts.NumRPNs)
-	for i := range rpns {
-		rpns[i] = NewRPN(core.NodeID(i+1), opts.RPNSpeed, opts.LinkBandwidth)
-		rpns[i].SetOverhead(opts.RPNOverhead)
-		rpns[i].SetCache(opts.CacheEntries)
-		nodeCfgs[i] = core.NodeConfig{ID: rpns[i].id, Capacity: rpns[i].Capacity()}
-	}
-	byID := make(map[core.NodeID]*RPN, len(rpns))
-	for _, r := range rpns {
-		byID[r.id] = r
-	}
-
-	sched, err := core.New(dir, nodeCfgs, core.Config{
-		Cycle:                opts.SchedCycle,
-		CreditWindow:         opts.CreditWindow,
-		OutstandingWindow:    opts.OutstandingWindow,
-		Gate:                 opts.Gate,
-		PredictionAlpha:      opts.SchedulerAlpha,
-		DisableCapacityDrain: opts.DisableCapacityDrain,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var inj *faults.Injector
-	if opts.Faults != nil {
-		if maxNode := opts.Faults.MaxNode(); int(maxNode) > opts.NumRPNs {
-			return nil, fmt.Errorf("cluster: fault plan targets node %d but cluster has %d RPNs", maxNode, opts.NumRPNs)
-		}
-		inj, err = faults.NewInjector(*opts.Faults)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cs := newChaosRun(rpns)
-
-	// Admitted-at-runtime subscribers resolve through a dynamic classifier
-	// chained after the static directory one; the chain is skipped entirely
-	// when the run has no admission schedule so the steady-state classify
-	// hop stays lock-free.
-	dyn := classify.NewDynamicClassifier()
-	var classifier classify.Classifier = classify.NewHostClassifier(dir)
-	if len(opts.Admissions) > 0 {
-		classifier = classify.Chain{classifier, dyn}
-	}
-	// defsNow tracks each subscriber's current definition through scripted
-	// admissions and resizes; a removed subscriber keeps its final entry so
-	// its result row still assembles.
-	defsNow := make(map[qos.SubscriberID]qos.Subscriber, dir.Len())
-	for _, id := range dir.IDs() {
-		sub, err := dir.Subscriber(id)
-		if err != nil {
-			continue
-		}
-		defsNow[id] = sub
-	}
-	engine := vclock.NewEngine(time.Time{})
-	front := &rdn{model: opts.RDN}
-
-	total := opts.Warmup + opts.Duration
-	start := engine.Now()
-	measureFrom := start.Add(opts.Warmup)
-
-	if opts.Recorder != nil {
-		// Cycle records carry virtual-time offsets from the run start.
-		opts.Recorder.SetClock(func() time.Duration { return engine.Now().Sub(start) })
-		sched.SetRecorder(opts.Recorder)
-	}
-	bus := opts.Bus
-	if bus != nil {
-		// Bus events share the cycle records' time base: virtual offsets
-		// from the start of the run, warmup included.
-		bus.SetClock(func() time.Duration { return engine.Now().Sub(start) })
-		if opts.Recorder != nil {
-			opts.Recorder.SetBus(bus)
-		}
-	}
-	cs.bus = bus
-	if opts.Auditor != nil && opts.Recorder != nil {
-		// The live audit ticks with the accounting cycle: violation spans
-		// open and close at deterministic virtual offsets, not at whatever
-		// wall-clock moment a scraper happened to sync.
-		stopAudit := engine.Every(opts.AcctCycle, opts.Auditor.Sync)
-		defer stopAudit()
-	}
-	traceEvery := opts.TraceEvery
-	if bus == nil {
-		traceEvery = 0
-	}
-	// traced selects span-sampled requests; the zero trace ID never occurs
-	// (Mint offsets the RDN field) so "untraced" needs no sentinel.
-	traced := func(id uint64) bool { return traceEvery != 0 && id%traceEvery == 0 }
-
-	// Materialize all arrivals up front: deterministic and cheap.
-	var arrivals []workload.Request
-	if len(opts.ReplayTrace) > 0 {
-		arrivals = workload.Merge(opts.ReplayTrace)
-	} else {
-		var streams [][]workload.Request
-		var nextID uint64 = 1
-		for _, src := range opts.Sources {
-			var reqs []workload.Request
-			reqs, nextID = src.Schedule(total, nextID)
-			streams = append(streams, reqs)
-		}
-		arrivals = workload.Merge(streams...)
-	}
-
-	tp := metrics.NewThroughput()
-	series := make(map[qos.SubscriberID]*metrics.Series, dir.Len())
-	observed := make(map[qos.SubscriberID]*metrics.Series, dir.Len())
-	for _, id := range dir.IDs() {
-		series[id] = &metrics.Series{}
-		observed[id] = &metrics.Series{}
-	}
-	nodeWeights := make(map[core.NodeID]*metrics.Series, len(rpns))
-	nodeDispatches := make(map[core.NodeID]*metrics.Series, len(rpns))
-	for _, r := range rpns {
-		nodeWeights[r.id] = &metrics.Series{}
-		nodeDispatches[r.id] = &metrics.Series{}
-	}
-	var admittedReqs, shedReqs int
-	counts := struct {
-		offered, served, dropped map[qos.SubscriberID]int
-	}{
-		offered: make(map[qos.SubscriberID]int),
-		served:  make(map[qos.SubscriberID]int),
-		dropped: make(map[qos.SubscriberID]int),
-	}
-	latencies := make(map[qos.SubscriberID][]float64, dir.Len())
-	latHist := make(map[qos.SubscriberID]*telemetry.Histogram, dir.Len())
-	for _, id := range dir.IDs() {
-		latHist[id] = telemetry.NewHistogram()
-	}
-	inWindow := func(t time.Time) bool { return !t.Before(measureFrom) }
-	units := func(v qos.Vector) float64 {
-		if opts.UnitResource != 0 {
-			return v.UnitsOf(opts.UnitResource)
-		}
-		return v.GenericUnits()
-	}
-
-	// Client arrivals → RDN admission (classification) → scheduler queue.
-	// Both hops ride AtArg on pointers into the arrivals slice, through two
-	// callbacks allocated once per run — the per-request closures this chain
-	// used to allocate dominated the simulator's heap profile.
-	classifyHop := func(arg any) {
-		req := arg.(*workload.Request)
-		now := engine.Now()
-		sub, ok := classifier.Classify(req.Host, req.Path)
-		if !ok {
-			// Unclassifiable: the RDN has no queue for it.
-			return
-		}
-		u := units(req.Cost)
-		if inWindow(now) {
-			tp.Offered(sub, u)
-			counts.offered[sub]++
-		}
-		if traced(req.ID) {
-			bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-				Sub: string(sub), Stage: "classify"})
-		}
-		var affinity uint64
-		if opts.LocalityDispatch {
-			affinity = localityKey(req.Host, req.Path)
-		}
-		err := sched.Enqueue(core.Request{ID: req.ID, Subscriber: sub, Affinity: affinity, Payload: req})
-		if err != nil {
-			// Queue-limit admission shed: overload control at the
-			// RDN's edge, counted over the whole run so the books
-			// close exactly.
-			shedReqs++
-			if inWindow(now) {
-				tp.Dropped(sub, u)
-				counts.dropped[sub]++
-			}
-			if traced(req.ID) {
-				bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-					Sub: string(sub), Stage: obs.StageSettle, Detail: "shed"})
-				opts.Auditor.NoteExemplar(sub, obs.Mint(0, req.ID))
-			}
-		} else {
-			admittedReqs++
-			if traced(req.ID) {
-				bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-					Sub: string(sub), Stage: "queue"})
-			}
-		}
-	}
-	admitHop := func(arg any) {
-		engine.AtArg(front.admit(engine.Now()), classifyHop, arg)
-	}
-	for i := range arrivals {
-		engine.AtArg(start.Add(arrivals[i].Arrival), admitHop, &arrivals[i])
-	}
-
-	// Fault schedule: crash/recover events fire at their exact virtual
-	// times; at every other state transition, each RPN's speed and
-	// bandwidth multipliers are re-derived from the injector.
-	if inj != nil {
-		for _, ev := range opts.Faults.Events {
-			ev := ev
-			switch ev.Kind {
-			case faults.NodeCrash:
-				engine.At(start.Add(ev.At), func() {
-					bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "crash"})
-					cs.crash(sched, byID[ev.Node])
-				})
-			case faults.NodeRecover:
-				engine.At(start.Add(ev.At), func() {
-					bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "recover"})
-					cs.recover(ev.Node)
-				})
-			}
-		}
-		for _, tr := range inj.Transitions() {
-			tr := tr
-			engine.At(start.Add(tr), func() {
-				for _, r := range rpns {
-					r.SetSpeedFactor(inj.Speed(r.id, tr))
-					r.SetBandwidthFactor(inj.Bandwidth(r.id, tr))
-				}
-			})
-		}
-	}
-
-	// Balance clamp floors for the per-tick audit: no balance may ever sit
-	// below −reservation×CreditWindow (tiny slack for Scale rounding).
-	floors := make(map[qos.SubscriberID]qos.Vector, len(defsNow))
-	for id, sub := range defsNow {
-		floors[id] = sub.Reservation.PerCycle(opts.CreditWindow).Neg()
-	}
-
-	// Scheduling cycle: dispatch decisions travel to their RPNs. A decision
-	// that reaches a node which crashed while it was on the wire is lost;
-	// its charge is reclaimed so it still settles exactly once. Each decision
-	// rides a pooled flight carrier through the wire-latency and service-time
-	// hops instead of a pair of fresh closures.
-	var flightFree []*flight
-	getFlight := func() *flight {
-		if k := len(flightFree); k > 0 {
-			f := flightFree[k-1]
-			flightFree[k-1] = nil
-			flightFree = flightFree[:k-1]
-			return f
-		}
-		return &flight{}
-	}
-	putFlight := func(f *flight) {
-		f.req, f.node = nil, nil
-		flightFree = append(flightFree, f)
-	}
-	finishHop := func(arg any) {
-		f := arg.(*flight)
-		node, req, epoch, effective := f.node, f.req, f.epoch, f.effective
-		putFlight(f)
-		if node.Epoch() != epoch {
-			// The node crashed mid-service; the crash handler
-			// already reclaimed this request's charge.
-			if traced(req.ID) {
-				bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-					Sub: string(req.Subscriber), Node: int(node.id),
-					Stage: obs.StageSettle, Detail: "reclaimed"})
-				opts.Auditor.NoteExemplar(req.Subscriber, obs.Mint(0, req.ID))
-			}
-			return
-		}
-		cs.complete(node.id, req.ID)
-		if traced(req.ID) {
-			bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-				Sub: string(req.Subscriber), Node: int(node.id),
-				Stage: obs.StageSettle, Detail: "served"})
-			opts.Auditor.NoteExemplar(req.Subscriber, obs.Mint(0, req.ID))
-		}
-		node.chargeCompletion(*req, effective)
-		now := engine.Now()
-		if inWindow(now) {
-			u := units(req.Cost)
-			tp.Served(req.Subscriber, u)
-			counts.served[req.Subscriber]++
-			series[req.Subscriber].Record(now.Sub(measureFrom), u)
-			latency := now.Sub(start.Add(req.Arrival))
-			latencies[req.Subscriber] = append(latencies[req.Subscriber], latency.Seconds())
-			latHist[req.Subscriber].Record(latency)
-		}
-	}
-	deliverHop := func(arg any) {
-		f := arg.(*flight)
-		if cs.crashed[f.node.id] {
-			if traced(f.req.ID) {
-				bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, f.req.ID),
-					Sub: string(f.req.Subscriber), Node: int(f.node.id),
-					Stage: obs.StageSettle, Detail: "reclaimed"})
-				opts.Auditor.NoteExemplar(f.req.Subscriber, obs.Mint(0, f.req.ID))
-			}
-			cs.reclaimOne(sched, f.node.id, f.req.ID, f.req.Subscriber)
-			putFlight(f)
-			return
-		}
-		f.epoch = f.node.Epoch()
-		var fin time.Time
-		fin, f.effective = f.node.process(engine.Now(), *f.req)
-		engine.AtArg(fin, finishHop, f)
-	}
-	stopSched := engine.Every(opts.SchedCycle, func() {
-		for _, d := range sched.Tick() {
-			req, ok := d.Req.Payload.(*workload.Request)
-			if !ok {
-				continue
-			}
-			cs.track(d.Node, req.ID, req.Subscriber)
-			if traced(req.ID) {
-				bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: obs.Mint(0, req.ID),
-					Sub: string(req.Subscriber), Node: int(d.Node), Stage: "dispatch"})
-			}
-			nodeDispatches[d.Node].Record(engine.Now().Sub(measureFrom), 1)
-			f := getFlight()
-			f.req, f.node = req, byID[d.Node]
-			engine.AfterArg(opts.DispatchLatency, deliverHop, f)
-		}
-		for id, floor := range floors {
-			b, ok := sched.Balance(id)
-			if !ok {
-				continue
-			}
-			slack := b.Sub(floor)
-			if slack.CPUTime < -time.Microsecond || slack.DiskTime < -time.Microsecond || slack.NetBytes < -1 {
-				cs.balanceViolations++
-			}
-		}
-	})
-	defer stopSched()
-
-	// Accounting cycle per RPN: cumulative counters flow back with latency
-	// and are diffed at delivery (like the live dispatcher's poller), so a
-	// dropped message delays feedback instead of losing usage forever. A
-	// crashed node is silent; silence past the streak threshold disables
-	// the node, and the first report after recovery re-enables it.
-	var stops []func()
-	var acctFree []*acctFlight
-	acctHop := func(arg any) {
-		a := arg.(*acctFlight)
-		id, msg := a.node, a.msg
-		a.msg = acctMsg{}
-		acctFree = append(acctFree, a)
-		rep, ok := cs.deliverAcct(id, msg)
-		if !ok {
-			return // stale: overtaken inside a delay window
-		}
-		// Reports for known nodes cannot fail.
-		_ = sched.ReportUsage(rep)
-		cs.ackAcct(sched, id, engine.Now())
-		now := engine.Now()
-		if !inWindow(now) {
-			return
-		}
-		for sub, u := range rep.BySubscriber {
-			if s, ok := observed[sub]; ok {
-				s.Record(now.Sub(measureFrom), units(u.Usage))
-			}
-		}
-	}
-	// startAcct begins one RPN's accounting loop; nodes added mid-run get
-	// theirs started at admission time (first tick one cycle later).
-	startAcct := func(r *RPN) {
-		stops = append(stops, engine.Every(opts.AcctCycle, func() {
-			now := engine.Now()
-			// Breaker time advances with the accounting cycle: slow-start
-			// ramps climb here. The weight sample lands after this cycle's
-			// miss/ack outcome is known.
-			cs.tickAcct(sched, r.id, now)
-			recordWeight := func() {
-				nodeWeights[r.id].Record(engine.Now().Sub(measureFrom), cs.nodeWeight(r.id))
-			}
-			if cs.crashed[r.id] {
-				cs.missAcct(sched, r.id, now)
-				recordWeight()
-				return
-			}
-			off := now.Sub(start)
-			if inj != nil && (inj.DropAcct(r.id, off) || inj.DropFrame(r.id, off)) {
-				cs.missAcct(sched, r.id, now)
-				recordWeight()
-				return
-			}
-			recordWeight()
-			msg := acctMsg{seq: cs.sendSeq[r.id], epoch: r.Epoch(), cum: r.Accountant().CumulativeReport()}
-			cs.sendSeq[r.id]++
-			delay := opts.FeedbackLatency
-			if inj != nil {
-				delay += inj.AcctDelay(r.id, off)
-			}
-			var a *acctFlight
-			if k := len(acctFree); k > 0 {
-				a = acctFree[k-1]
-				acctFree[k-1] = nil
-				acctFree = acctFree[:k-1]
-			} else {
-				a = &acctFlight{}
-			}
-			a.node, a.msg = r.id, msg
-			engine.AfterArg(delay, acctHop, a)
-		}))
-	}
-	for _, r := range rpns {
-		startAcct(r)
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-
-	// Scripted admission events fire at their exact virtual times through
-	// the same feasibility policy the live control plane runs.
-	var es *elasticState
-	if len(opts.Admissions) > 0 {
-		es = &elasticState{
-			cfg:          admitctl.Config{Headroom: opts.AdmitHeadroom},
-			sched:        sched,
-			cs:           cs,
-			dyn:          dyn,
-			rec:          opts.Recorder,
-			bus:          bus,
-			defsNow:      defsNow,
-			floors:       floors,
-			creditWindow: opts.CreditWindow,
-			ensureSub: func(id qos.SubscriberID) {
-				if series[id] == nil {
-					series[id] = &metrics.Series{}
-				}
-				if observed[id] == nil {
-					observed[id] = &metrics.Series{}
-				}
-				if latHist[id] == nil {
-					latHist[id] = telemetry.NewHistogram()
-				}
-			},
-			nodeByID: func(id core.NodeID) *RPN { return byID[id] },
-		}
-		es.addRPN = func(ev AdmissionEvent) error {
-			if _, dup := byID[ev.Node]; dup {
-				return fmt.Errorf("cluster: duplicate node %d", ev.Node)
-			}
-			speed := ev.NodeSpeed
-			if speed <= 0 {
-				speed = opts.RPNSpeed
-			}
-			r := NewRPN(ev.Node, speed, opts.LinkBandwidth)
-			r.SetOverhead(opts.RPNOverhead)
-			r.SetCache(opts.CacheEntries)
-			cs.addNode(r)
-			if err := sched.AddNode(core.NodeConfig{ID: r.id, Capacity: r.Capacity()}, cs.nodeWeight(r.id)); err != nil {
-				return err
-			}
-			byID[r.id] = r
-			rpns = append(rpns, r)
-			nodeWeights[r.id] = &metrics.Series{}
-			nodeDispatches[r.id] = &metrics.Series{}
-			startAcct(r)
-			return nil
-		}
-		for _, ev := range opts.Admissions {
-			ev := ev
-			engine.At(start.Add(ev.At), func() { es.apply(ev) })
-		}
-	}
-
-	// Utilization is measured over the window only.
-	var rdnBusyAtWindowStart time.Duration
-	engine.At(measureFrom, func() { rdnBusyAtWindowStart = front.busy })
-
-	if err := engine.RunUntil(start.Add(total)); err != nil {
-		return nil, err
-	}
-	if opts.Auditor != nil {
-		// Catch the tail: records committed after the last audit tick.
-		opts.Auditor.Sync()
-	}
-
-	// Assemble results.
-	var queuedAtEnd int
-	for id := range defsNow {
-		queuedAtEnd += sched.QueueLen(id)
-	}
-	res := &Result{
-		Series:            series,
-		Observed:          observed,
-		LatencyHist:       latHist,
-		Window:            opts.Duration,
-		DispatchedReqs:    cs.dispatched,
-		DeliveredReqs:     cs.delivered,
-		ReclaimedReqs:     cs.reclaimed,
-		InflightAtEnd:     cs.inflightTotal(),
-		BalanceViolations: cs.balanceViolations,
-		AdmittedReqs:      admittedReqs,
-		ShedReqs:          shedReqs,
-		QueuedAtEnd:       queuedAtEnd,
-		NodeWeights:       nodeWeights,
-		NodeDispatches:    nodeDispatches,
-	}
-	if es != nil {
-		res.OrphanedReqs = es.orphaned
-		res.AdmissionLog = es.log
-		res.AdmissionAccepted = es.accepted
-		res.AdmissionRejected = es.rejected
-	}
-	if opts.Faults != nil {
-		if fs, fe, ok := opts.Faults.ActiveWindow(); ok {
-			res.Fault = &FaultReport{Start: fs - opts.Warmup, End: fe - opts.Warmup}
-		}
-	}
-	sec := opts.Duration.Seconds()
-	var servedReqs int
-	for _, row := range tp.Rows(opts.Duration) {
-		sub, ok := defsNow[row.ID]
-		if !ok {
-			continue
-		}
-		lats := latencies[row.ID]
-		res.Rows = append(res.Rows, SubscriberRow{
-			ID:          row.ID,
-			Reservation: sub.Reservation,
-			Offered:     row.OfferedRate,
-			Served:      row.ServedRate,
-			Dropped:     row.DroppedRate,
-			OfferedReqs: counts.offered[row.ID],
-			ServedReqs:  counts.served[row.ID],
-			DroppedReqs: counts.dropped[row.ID],
-			MeanLatency: time.Duration(metrics.Mean(lats) * float64(time.Second)),
-			P95Latency:  time.Duration(metrics.Percentile(lats, 95) * float64(time.Second)),
-		})
-		servedReqs += counts.served[row.ID]
-	}
-	res.ServedReqPerSec = float64(servedReqs) / sec
-	var hits, misses uint64
-	for _, r := range rpns {
-		h, m := r.CacheStats()
-		hits += h
-		misses += m
-	}
-	if hits+misses > 0 {
-		res.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	if opts.RDN != nil {
-		util := (front.busy - rdnBusyAtWindowStart).Seconds() / opts.Duration.Seconds()
-		if util > 1 {
-			util = 1
-		}
-		res.RDNUtilization = util
-	}
-	return res, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return &res.Result, nil
 }
 
 // localityKey hashes a page's host and directory so URLs "in the same

@@ -1,0 +1,785 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"gage/internal/admitctl"
+	"gage/internal/classify"
+	"gage/internal/core"
+	"gage/internal/faults"
+	"gage/internal/flightrec"
+	"gage/internal/metrics"
+	"gage/internal/obs"
+	"gage/internal/qos"
+	"gage/internal/telemetry"
+	"gage/internal/vclock"
+	"gage/internal/workload"
+)
+
+// frontEnd is one RDN instance of the simulated cluster.
+type frontEnd struct {
+	// id is the instance's 1-based tier identity.
+	id    int
+	sched *core.Scheduler
+	cpu   rdn
+	// rec, when non-nil, is the instance's flight recorder.
+	rec *flightrec.Recorder
+	// alive is false between an RDN crash and its recovery.
+	alive bool
+	// grant is the instance's believed ownership: group → the epoch at
+	// which the lease table granted it. A deposed owner keeps its stale
+	// entry (it has no way to know) — its dispatches carry the old epoch and
+	// die at the delivery fence. Nil on a one-front-end run.
+	grant map[string]uint64
+	// busyAtWindowStart snapshots cpu.busy when measurement begins.
+	busyAtWindowStart time.Duration
+}
+
+// flight carries one dispatch decision across its wire-latency and
+// service-time hops, stamped with the dispatching front end and (on a tier)
+// its grant epoch for delivery fencing. Carriers are recycled within a run
+// so the dispatch chain schedules allocation-free.
+type flight struct {
+	req       *workload.Request
+	node      *RPN
+	front     *frontEnd
+	grant     uint64
+	epoch     int
+	effective qos.Vector
+}
+
+// acctFlight carries one accounting message across its feedback-latency hop.
+type acctFlight struct {
+	node core.NodeID
+	msg  acctMsg
+}
+
+// freeList recycles a hop's carriers within a run.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	k := len(*l)
+	if k == 0 {
+		return new(T)
+	}
+	x := (*l)[k-1]
+	(*l)[k-1] = nil
+	*l = (*l)[:k-1]
+	return x
+}
+
+// put zeroes the carrier so a pooled one pins nothing.
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	*l = append(*l, x)
+}
+
+// sim is the one simulator event loop behind Run and RunFrontier: an engine,
+// the RPNs, one feedback book, a slice of front ends and the measurement
+// accumulators. With one front end (RDNCount 1) tier is nil and every hop
+// takes its direct branch — no lease table, no heartbeats, no per-arrival
+// routing, no accounting split. With more, tier holds the lease table and
+// partition geography and the same hops route through it.
+type sim struct {
+	opts   FrontierOptions
+	engine *vclock.Engine
+	// start is the run's virtual origin; measurement begins at measureFrom.
+	start, measureFrom time.Time
+
+	rpns   []*RPN
+	byID   map[core.NodeID]*RPN
+	fronts []*frontEnd
+	book   *chaosRun
+	tier   *tier
+	inj    *faults.Injector
+	// es is the scripted admission plane; nil without a schedule.
+	es *elasticState
+
+	classifier classify.Classifier
+	// dyn resolves subscribers admitted at runtime.
+	dyn *classify.DynamicClassifier
+	// defsNow tracks each subscriber's current definition through scripted
+	// admissions and resizes; a removed subscriber keeps its final entry so
+	// its result row still assembles.
+	defsNow map[qos.SubscriberID]qos.Subscriber
+	// floors are the balance clamp floors for the per-tick audit: no balance
+	// may ever sit below −reservation×CreditWindow.
+	floors map[qos.SubscriberID]qos.Vector
+
+	// Measurement accumulators, window-only unless noted.
+	tp             *metrics.Throughput
+	series         map[qos.SubscriberID]*metrics.Series
+	observed       map[qos.SubscriberID]*metrics.Series
+	latencies      map[qos.SubscriberID][]float64
+	latHist        map[qos.SubscriberID]*telemetry.Histogram
+	offeredReqs    map[qos.SubscriberID]int
+	servedReqs     map[qos.SubscriberID]int
+	droppedReqs    map[qos.SubscriberID]int
+	nodeWeights    map[core.NodeID]*metrics.Series
+	nodeDispatches map[core.NodeID]*metrics.Series
+	// Whole-run admission counters.
+	admitted, shed, refusedDead int
+	// Whole-run tier migration counters and timeline.
+	handedOff, lostQueued int
+	takeovers             []TierChange
+
+	// Pooled carriers and the per-run hop callbacks: each hop rides AtArg on
+	// a pointer through a method value bound once, so the request chain
+	// allocates no closure per event.
+	flightFree freeList[flight]
+	acctFree   freeList[acctFlight]
+	enqueueFn  func(any)
+	deliverFn  func(any)
+	finishFn   func(any)
+	acctFn     func(any)
+}
+
+// newSim validates the options and builds the cluster: RPNs, front ends with
+// their schedulers, the feedback book and (for a tier) the lease table.
+func newSim(opts FrontierOptions) (*sim, error) {
+	if len(opts.Subscribers) == 0 {
+		return nil, errors.New("cluster: at least one subscriber required")
+	}
+	if len(opts.Sources) == 0 && len(opts.ReplayTrace) == 0 {
+		return nil, errors.New("cluster: a load source or replay trace required")
+	}
+	if len(opts.Recorders) > opts.RDNCount {
+		return nil, fmt.Errorf("cluster: %d recorders for %d RDNs", len(opts.Recorders), opts.RDNCount)
+	}
+	if len(opts.Admissions) > 0 && opts.RDNCount > 1 {
+		// The admission plane mutates one scheduler's directory and node
+		// set; nothing partitions a scripted event across a tier.
+		return nil, fmt.Errorf("cluster: scripted admissions need a single front end, not RDNCount %d", opts.RDNCount)
+	}
+	dir, err := qos.NewDirectory(opts.Subscribers)
+	if err != nil {
+		return nil, err
+	}
+	s := &sim{
+		opts:   opts,
+		engine: vclock.NewEngine(time.Time{}),
+		rpns:   make([]*RPN, opts.NumRPNs),
+		byID:   make(map[core.NodeID]*RPN, opts.NumRPNs),
+		dyn:    classify.NewDynamicClassifier(),
+	}
+	s.start = s.engine.Now()
+	s.measureFrom = s.start.Add(opts.Warmup)
+	for i := range s.rpns {
+		s.rpns[i] = s.newRPN(core.NodeID(i+1), opts.RPNSpeed)
+		s.byID[s.rpns[i].id] = s.rpns[i]
+	}
+	if opts.RDNCount > 1 {
+		if err := s.buildTier(); err != nil {
+			return nil, err
+		}
+	} else {
+		sched, err := core.New(dir, s.nodeConfigs(1), s.coreConfig())
+		if err != nil {
+			return nil, err
+		}
+		s.fronts = []*frontEnd{{id: 1, sched: sched, alive: true}}
+	}
+	for _, fe := range s.fronts {
+		fe.cpu.model = opts.RDN
+	}
+	if opts.Faults != nil {
+		if err := opts.Faults.ValidateCluster(opts.NumRPNs, opts.RDNCount); err != nil {
+			return nil, err
+		}
+		if s.inj, err = faults.NewInjector(*opts.Faults); err != nil {
+			return nil, err
+		}
+	}
+	s.book = newChaosRun(s.rpns, s.fronts)
+	s.book.bus = opts.Bus
+
+	// Admitted-at-runtime subscribers resolve through a dynamic classifier
+	// chained after the static directory one; the chain is skipped entirely
+	// when the run has no admission schedule so the steady-state classify
+	// hop stays lock-free.
+	s.classifier = classify.NewHostClassifier(dir)
+	if len(opts.Admissions) > 0 {
+		s.classifier = classify.Chain{s.classifier, s.dyn}
+	}
+	s.defsNow = make(map[qos.SubscriberID]qos.Subscriber, dir.Len())
+	s.floors = make(map[qos.SubscriberID]qos.Vector, dir.Len())
+	for _, sub := range opts.Subscribers {
+		s.defsNow[sub.ID] = sub
+		s.floors[sub.ID] = sub.Reservation.PerCycle(opts.CreditWindow).Neg()
+	}
+	s.wireObservers()
+	s.initMeasurement(dir.IDs())
+	s.enqueueFn, s.deliverFn, s.finishFn, s.acctFn = s.enqueueHop, s.deliverHop, s.finishHop, s.acctHop
+	return s, nil
+}
+
+func (s *sim) coreConfig() core.Config {
+	return core.Config{
+		Cycle:                s.opts.SchedCycle,
+		CreditWindow:         s.opts.CreditWindow,
+		OutstandingWindow:    s.opts.OutstandingWindow,
+		Gate:                 s.opts.Gate,
+		PredictionAlpha:      s.opts.SchedulerAlpha,
+		DisableCapacityDrain: s.opts.DisableCapacityDrain,
+	}
+}
+
+func (s *sim) newRPN(id core.NodeID, speed float64) *RPN {
+	r := NewRPN(id, speed, s.opts.LinkBandwidth)
+	r.SetOverhead(s.opts.RPNOverhead)
+	r.SetCache(s.opts.CacheEntries)
+	return r
+}
+
+// nodeConfigs declares every RPN to a scheduler at the given share of its
+// capacity: 1 for a lone front end, its partition's reservation share for a
+// tier member.
+func (s *sim) nodeConfigs(share float64) []core.NodeConfig {
+	cfgs := make([]core.NodeConfig, len(s.rpns))
+	for i, r := range s.rpns {
+		c := r.Capacity()
+		if share != 1 {
+			c = c.Scale(share)
+		}
+		cfgs[i] = core.NodeConfig{ID: r.id, Capacity: c}
+	}
+	return cfgs
+}
+
+// sinceStart is the clock every recorder and bus stamps with: virtual
+// offsets from the start of the run, warmup included — the same origin as
+// request arrivals and fault events.
+func (s *sim) sinceStart() time.Duration { return s.engine.Now().Sub(s.start) }
+
+// wireObservers points the recorders and the bus at the virtual clock.
+// Front end i records into Recorders[i−1]; front end 1 falls back to
+// Options.Recorder when Recorders names none for it.
+func (s *sim) wireObservers() {
+	if s.opts.Bus != nil {
+		s.opts.Bus.SetClock(s.sinceStart)
+	}
+	for i, fe := range s.fronts {
+		if i < len(s.opts.Recorders) {
+			fe.rec = s.opts.Recorders[i]
+		}
+		if fe.rec == nil && i == 0 {
+			fe.rec = s.opts.Recorder
+		}
+		if fe.rec == nil {
+			continue
+		}
+		fe.rec.SetClock(s.sinceStart)
+		if s.tier != nil {
+			fe.rec.SetRDN(fe.id)
+		}
+		if s.opts.Bus != nil {
+			fe.rec.SetBus(s.opts.Bus)
+		}
+		fe.sched.SetRecorder(fe.rec)
+	}
+}
+
+// materializeArrivals builds the whole arrival stream up front:
+// deterministic and cheap.
+func (s *sim) materializeArrivals() []workload.Request {
+	if len(s.opts.ReplayTrace) > 0 {
+		return workload.Merge(s.opts.ReplayTrace)
+	}
+	var streams [][]workload.Request
+	var nextID uint64 = 1
+	for _, src := range s.opts.Sources {
+		var reqs []workload.Request
+		reqs, nextID = src.Schedule(s.opts.Warmup+s.opts.Duration, nextID)
+		streams = append(streams, reqs)
+	}
+	return workload.Merge(streams...)
+}
+
+func (s *sim) initMeasurement(subs []qos.SubscriberID) {
+	s.tp = metrics.NewThroughput()
+	s.series = make(map[qos.SubscriberID]*metrics.Series, len(subs))
+	s.observed = make(map[qos.SubscriberID]*metrics.Series, len(subs))
+	s.latencies = make(map[qos.SubscriberID][]float64, len(subs))
+	s.latHist = make(map[qos.SubscriberID]*telemetry.Histogram, len(subs))
+	s.offeredReqs = make(map[qos.SubscriberID]int)
+	s.servedReqs = make(map[qos.SubscriberID]int)
+	s.droppedReqs = make(map[qos.SubscriberID]int)
+	for _, id := range subs {
+		s.ensureSub(id)
+	}
+	s.nodeWeights = make(map[core.NodeID]*metrics.Series, len(s.rpns))
+	s.nodeDispatches = make(map[core.NodeID]*metrics.Series, len(s.rpns))
+	for _, r := range s.rpns {
+		s.nodeWeights[r.id] = &metrics.Series{}
+		s.nodeDispatches[r.id] = &metrics.Series{}
+	}
+}
+
+// ensureSub gives a subscriber its measurement series; idempotent, so a
+// scripted admission can call it for a newcomer.
+func (s *sim) ensureSub(id qos.SubscriberID) {
+	if s.series[id] == nil {
+		s.series[id] = &metrics.Series{}
+		s.observed[id] = &metrics.Series{}
+		s.latHist[id] = telemetry.NewHistogram()
+	}
+}
+
+func (s *sim) inWindow(t time.Time) bool { return !t.Before(s.measureFrom) }
+
+// units converts a usage vector to generic units: a single resource
+// dimension when Options.UnitResource names one, else the max across them.
+func (s *sim) units(v qos.Vector) float64 {
+	if s.opts.UnitResource != 0 {
+		return v.UnitsOf(s.opts.UnitResource)
+	}
+	return v.GenericUnits()
+}
+
+// traced selects span-sampled requests: every TraceEvery-th, given a bus to
+// publish on. The zero trace ID never occurs (Mint offsets the RDN field)
+// so "untraced" needs no sentinel.
+func (s *sim) traced(id uint64) bool {
+	return s.opts.TraceEvery != 0 && s.opts.Bus != nil && id%s.opts.TraceEvery == 0
+}
+
+// span publishes one lifecycle span of a sampled request; a settle span
+// also feeds the auditor's exemplar reservoir.
+func (s *sim) span(req *workload.Request, sub qos.SubscriberID, node core.NodeID, stage, detail string) {
+	id := obs.Mint(0, req.ID)
+	s.opts.Bus.Publish(obs.Event{Kind: obs.KindSpan, Trace: id, Sub: string(sub),
+		Node: int(node), Stage: stage, Detail: detail})
+	if stage == obs.StageSettle {
+		s.opts.Auditor.NoteExemplar(sub, id)
+	}
+}
+
+// run schedules every hop in a fixed order — same-instant events fire in
+// registration order, so this order is part of the simulator's output — and
+// advances the engine to the end of the measured window.
+func (s *sim) run() error {
+	if s.opts.Auditor != nil && s.opts.Recorder != nil {
+		// The live audit ticks with the accounting cycle: violation spans
+		// open and close at deterministic virtual offsets, not at whatever
+		// wall-clock moment a scraper happened to sync.
+		s.engine.Every(s.opts.AcctCycle, s.opts.Auditor.Sync)
+	}
+	arrivals, arriveFn := s.materializeArrivals(), s.arriveHop
+	for i := range arrivals {
+		s.engine.AtArg(s.start.Add(arrivals[i].Arrival), arriveFn, &arrivals[i])
+	}
+	s.scheduleFaults()
+	s.engine.Every(s.opts.SchedCycle, s.tick)
+	for _, r := range s.rpns {
+		s.startAcct(r)
+	}
+	if s.tier != nil {
+		s.engine.Every(s.opts.BeatInterval, s.beat)
+	}
+	if len(s.opts.Admissions) > 0 {
+		s.es = &elasticState{cfg: admitctl.Config{Headroom: s.opts.AdmitHeadroom}, sim: s}
+		for _, ev := range s.opts.Admissions {
+			ev := ev
+			s.engine.At(s.start.Add(ev.At), func() { s.es.apply(ev) })
+		}
+	}
+	// Utilization is measured over the window only.
+	s.engine.At(s.measureFrom, func() {
+		for _, fe := range s.fronts {
+			fe.busyAtWindowStart = fe.cpu.busy
+		}
+	})
+	if err := s.engine.RunUntil(s.start.Add(s.opts.Warmup + s.opts.Duration)); err != nil {
+		return err
+	}
+	if s.opts.Auditor != nil {
+		// Catch the tail: records committed after the last audit tick.
+		s.opts.Auditor.Sync()
+	}
+	return nil
+}
+
+// arriveHop lands one client connection on a front end and charges its CPU;
+// the request is classified and queued when that admission work completes.
+// On a tier the connection goes to its partition owner's instance.
+func (s *sim) arriveHop(arg any) {
+	fe := s.fronts[0]
+	if s.tier != nil {
+		if fe = s.route(arg.(*workload.Request)); fe == nil {
+			return
+		}
+	}
+	s.engine.AtArg(fe.cpu.admit(s.engine.Now()), s.enqueueFn, arg)
+}
+
+// enqueueHop classifies one admitted request and queues it on its front
+// end's scheduler. A full queue sheds it: overload control at the RDN's
+// edge, counted over the whole run so the books close exactly.
+func (s *sim) enqueueHop(arg any) {
+	req := arg.(*workload.Request)
+	sub, ok := s.classifier.Classify(req.Host, req.Path)
+	if !ok {
+		// Unclassifiable: the RDN has no queue for it.
+		return
+	}
+	inWindow := s.inWindow(s.engine.Now())
+	u := s.units(req.Cost)
+	if inWindow {
+		s.tp.Offered(sub, u)
+		s.offeredReqs[sub]++
+	}
+	if s.traced(req.ID) {
+		s.span(req, sub, 0, "classify", "")
+	}
+	fe := s.fronts[0]
+	if s.tier != nil {
+		// Ownership may have moved while the admission work was queued.
+		fe = s.owner(sub)
+	}
+	var affinity uint64
+	if s.opts.LocalityDispatch {
+		affinity = localityKey(req.Host, req.Path)
+	}
+	var outcome string
+	switch {
+	case fe == nil:
+		s.refusedDead++
+		outcome = "refused"
+	case fe.sched.Enqueue(core.Request{ID: req.ID, Subscriber: sub, Affinity: affinity, Payload: req}) != nil:
+		s.shed++
+		outcome = "shed"
+	default:
+		s.admitted++
+		if s.traced(req.ID) {
+			s.span(req, sub, 0, "queue", "")
+		}
+		return
+	}
+	if inWindow {
+		s.tp.Dropped(sub, u)
+		s.droppedReqs[sub]++
+	}
+	if s.traced(req.ID) {
+		s.span(req, sub, 0, obs.StageSettle, outcome)
+	}
+}
+
+// tick is the scheduling cycle: every live front end's dispatch decisions
+// travel to their RPNs, each riding a pooled flight carrier through the
+// wire-latency and service-time hops, and every balance is audited against
+// its clamp floor (tiny slack for Scale rounding).
+func (s *sim) tick() {
+	for _, fe := range s.fronts {
+		if !fe.alive {
+			continue
+		}
+		for _, d := range fe.sched.Tick() {
+			req, ok := d.Req.Payload.(*workload.Request)
+			if !ok {
+				continue
+			}
+			s.book.track(d.Node, req.ID, req.Subscriber, fe)
+			if s.traced(req.ID) {
+				s.span(req, req.Subscriber, d.Node, "dispatch", "")
+			}
+			s.nodeDispatches[d.Node].Record(s.engine.Now().Sub(s.measureFrom), 1)
+			f := s.flightFree.get()
+			f.req, f.node, f.front = req, s.byID[d.Node], fe
+			if s.tier != nil {
+				f.grant = fe.grant[s.tier.groupOf[req.Subscriber]]
+			}
+			s.engine.AfterArg(s.opts.DispatchLatency, s.deliverFn, f)
+		}
+		for id, floor := range s.floors {
+			b, ok := fe.sched.Balance(id)
+			if !ok {
+				continue
+			}
+			slack := b.Sub(floor)
+			if slack.CPUTime < -time.Microsecond || slack.DiskTime < -time.Microsecond || slack.NetBytes < -1 {
+				s.book.balanceViolations++
+			}
+		}
+	}
+}
+
+// deliverHop is a dispatch reaching its RPN: crash check, epoch fence, then
+// service. A decision that reaches a node which crashed while it was on the
+// wire is lost, and one whose (front end, grant epoch) stamp is no longer
+// its group's current ownership is refused; either way the charge goes back
+// so the dispatch still settles exactly once.
+func (s *sim) deliverHop(arg any) {
+	f := arg.(*flight)
+	req, node := f.req, f.node
+	if s.book.crashed[node.id] {
+		s.book.reclaimOne(node.id, req.ID)
+		if s.traced(req.ID) {
+			s.span(req, req.Subscriber, node.id, obs.StageSettle, "reclaimed")
+		}
+		s.flightFree.put(f)
+		return
+	}
+	if s.tier != nil {
+		if g := s.tier.groupOf[req.Subscriber]; !s.tier.table.Valid(g, f.front.id, f.grant) {
+			s.book.fenceOne(node.id, req.ID)
+			if s.traced(req.ID) {
+				s.span(req, req.Subscriber, node.id, obs.StageSettle, "fenced")
+			}
+			if f.front.rec != nil {
+				f.front.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: g, From: f.front.id, Epoch: f.grant})
+			}
+			s.flightFree.put(f)
+			return
+		}
+	}
+	f.epoch = node.Epoch()
+	var fin time.Time
+	fin, f.effective = node.process(s.engine.Now(), *req)
+	s.engine.AtArg(fin, s.finishFn, f)
+}
+
+// finishHop is a request completing service: it settles as delivered,
+// charges the node's accountant and lands in the window's measurements.
+func (s *sim) finishHop(arg any) {
+	f := arg.(*flight)
+	node, req, epoch, effective := f.node, f.req, f.epoch, f.effective
+	s.flightFree.put(f)
+	if node.Epoch() != epoch {
+		// The node crashed mid-service; the crash handler already
+		// reclaimed this request's charge.
+		if s.traced(req.ID) {
+			s.span(req, req.Subscriber, node.id, obs.StageSettle, "reclaimed")
+		}
+		return
+	}
+	s.book.complete(node.id, req.ID)
+	if s.traced(req.ID) {
+		s.span(req, req.Subscriber, node.id, obs.StageSettle, "served")
+	}
+	node.chargeCompletion(*req, effective)
+	now := s.engine.Now()
+	if !s.inWindow(now) {
+		return
+	}
+	sub, u := req.Subscriber, s.units(req.Cost)
+	s.tp.Served(sub, u)
+	s.servedReqs[sub]++
+	s.series[sub].Record(now.Sub(s.measureFrom), u)
+	latency := now.Sub(s.start.Add(req.Arrival))
+	s.latencies[sub] = append(s.latencies[sub], latency.Seconds())
+	s.latHist[sub].Record(latency)
+}
+
+// startAcct begins one RPN's accounting cycle: cumulative counters flow
+// back with latency and are diffed at delivery (like the live dispatcher's
+// poller), so a dropped message delays feedback instead of losing usage
+// forever. A crashed node is silent; silence past the streak threshold
+// disables the node, and the first report after recovery re-enables it.
+// Nodes added mid-run get theirs started at admission time (first tick one
+// cycle later).
+func (s *sim) startAcct(r *RPN) {
+	s.engine.Every(s.opts.AcctCycle, func() {
+		now := s.engine.Now()
+		// Breaker time advances with the accounting cycle: slow-start ramps
+		// climb here. The weight sample lands after this cycle's miss/ack
+		// outcome is known.
+		s.book.tickAcct(r.id, now)
+		off := now.Sub(s.start)
+		silent := s.book.crashed[r.id] || (s.inj != nil && (s.inj.DropAcct(r.id, off) || s.inj.DropFrame(r.id, off)))
+		if silent {
+			s.book.missAcct(r.id, now)
+		}
+		s.nodeWeights[r.id].Record(now.Sub(s.measureFrom), s.book.nodeWeight(r.id))
+		if silent {
+			return
+		}
+		delay := s.opts.FeedbackLatency
+		if s.inj != nil {
+			delay += s.inj.AcctDelay(r.id, off)
+		}
+		a := s.acctFree.get()
+		a.node = r.id
+		a.msg = acctMsg{seq: s.book.sendSeq[r.id], epoch: r.Epoch(), cum: r.Accountant().CumulativeReport()}
+		s.book.sendSeq[r.id]++
+		s.engine.AfterArg(delay, s.acctFn, a)
+	})
+}
+
+// acctHop is an accounting message reaching the front ends: the usage delta
+// debits the scheduler that owns each subscriber, the node's breaker hears
+// a success, and the delta lands in the observed series.
+func (s *sim) acctHop(arg any) {
+	a := arg.(*acctFlight)
+	id, msg := a.node, a.msg
+	s.acctFree.put(a)
+	rep, ok := s.book.deliverAcct(id, msg)
+	if !ok {
+		return // stale: overtaken inside a delay window
+	}
+	if s.tier == nil {
+		// Reports for known nodes cannot fail.
+		_ = s.fronts[0].sched.ReportUsage(rep)
+	} else {
+		s.reportByOwner(rep)
+	}
+	now := s.engine.Now()
+	s.book.ackAcct(id, now)
+	if !s.inWindow(now) {
+		return
+	}
+	for sub, u := range rep.BySubscriber {
+		if series, ok := s.observed[sub]; ok {
+			series.Record(now.Sub(s.measureFrom), s.units(u.Usage))
+		}
+	}
+}
+
+// scheduleFaults registers the fault plan: crash/recover events fire at
+// their exact virtual times; at every other state transition, each RPN's
+// speed and bandwidth multipliers are re-derived from the injector.
+// RDN-level events need a peer to fail over to and are tier-only.
+func (s *sim) scheduleFaults() {
+	if s.inj == nil {
+		return
+	}
+	for _, ev := range s.opts.Faults.Events {
+		ev := ev
+		var fire func()
+		switch {
+		case ev.Kind == faults.NodeCrash:
+			fire = func() {
+				s.opts.Bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "crash"})
+				s.book.crash(s.byID[ev.Node])
+			}
+		case ev.Kind == faults.NodeRecover:
+			fire = func() {
+				s.opts.Bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "recover"})
+				s.book.recover(ev.Node)
+			}
+		case ev.Kind == faults.RDNCrash && s.tier != nil:
+			fire = func() { s.crashFront(s.fronts[ev.RDN-1]) }
+		case ev.Kind == faults.RDNRecover && s.tier != nil:
+			fire = func() { s.recoverFront(s.fronts[ev.RDN-1]) }
+		default:
+			continue
+		}
+		s.engine.At(s.start.Add(ev.At), fire)
+	}
+	for _, tr := range s.inj.Transitions() {
+		tr := tr
+		s.engine.At(s.start.Add(tr), func() {
+			for _, r := range s.rpns {
+				r.SetSpeedFactor(s.inj.Speed(r.id, tr))
+				r.SetBandwidthFactor(s.inj.Bandwidth(r.id, tr))
+			}
+		})
+	}
+}
+
+// addRPN grows the pool mid-run with a node entering at the bottom of the
+// slow-start ramp (scripted AddNode).
+func (s *sim) addRPN(ev AdmissionEvent) error {
+	if _, dup := s.byID[ev.Node]; dup {
+		return fmt.Errorf("cluster: duplicate node %d", ev.Node)
+	}
+	speed := ev.NodeSpeed
+	if speed <= 0 {
+		speed = s.opts.RPNSpeed
+	}
+	r := s.newRPN(ev.Node, speed)
+	s.book.addNode(r)
+	if err := s.fronts[0].sched.AddNode(core.NodeConfig{ID: r.id, Capacity: r.Capacity()}, s.book.nodeWeight(r.id)); err != nil {
+		return err
+	}
+	s.byID[r.id] = r
+	s.rpns = append(s.rpns, r)
+	s.nodeWeights[r.id] = &metrics.Series{}
+	s.nodeDispatches[r.id] = &metrics.Series{}
+	s.startAcct(r)
+	return nil
+}
+
+// result assembles the run's outcome.
+func (s *sim) result() *FrontierResult {
+	res := &FrontierResult{
+		Result: Result{
+			Series:            s.series,
+			Observed:          s.observed,
+			LatencyHist:       s.latHist,
+			Window:            s.opts.Duration,
+			DispatchedReqs:    s.book.dispatched,
+			DeliveredReqs:     s.book.delivered,
+			ReclaimedReqs:     s.book.reclaimed,
+			InflightAtEnd:     s.book.inflightTotal(),
+			BalanceViolations: s.book.balanceViolations,
+			AdmittedReqs:      s.admitted,
+			ShedReqs:          s.shed,
+			NodeWeights:       s.nodeWeights,
+			NodeDispatches:    s.nodeDispatches,
+		},
+		Takeovers:       s.takeovers,
+		RDNUtilization:  make([]float64, len(s.fronts)),
+		RefusedDeadReqs: s.refusedDead,
+		FencedReqs:      s.book.fenced,
+		HandedOffReqs:   s.handedOff,
+		LostQueuedReqs:  s.lostQueued,
+	}
+	for _, fe := range s.fronts {
+		for id := range s.defsNow {
+			res.QueuedAtEnd += fe.sched.QueueLen(id)
+		}
+	}
+	if s.es != nil {
+		res.OrphanedReqs = s.es.orphaned
+		res.AdmissionLog = s.es.log
+		res.AdmissionAccepted = s.es.accepted
+		res.AdmissionRejected = s.es.rejected
+	}
+	if s.opts.Faults != nil {
+		if fs, fe, ok := s.opts.Faults.ActiveWindow(); ok {
+			res.Fault = &FaultReport{Start: fs - s.opts.Warmup, End: fe - s.opts.Warmup}
+		}
+	}
+	sec := s.opts.Duration.Seconds()
+	var servedReqs int
+	for _, row := range s.tp.Rows(s.opts.Duration) {
+		sub, ok := s.defsNow[row.ID]
+		if !ok {
+			continue
+		}
+		lats := s.latencies[row.ID]
+		res.Rows = append(res.Rows, SubscriberRow{
+			ID:          row.ID,
+			Reservation: sub.Reservation,
+			Offered:     row.OfferedRate,
+			Served:      row.ServedRate,
+			Dropped:     row.DroppedRate,
+			OfferedReqs: s.offeredReqs[row.ID],
+			ServedReqs:  s.servedReqs[row.ID],
+			DroppedReqs: s.droppedReqs[row.ID],
+			MeanLatency: time.Duration(metrics.Mean(lats) * float64(time.Second)),
+			P95Latency:  time.Duration(metrics.Percentile(lats, 95) * float64(time.Second)),
+		})
+		servedReqs += s.servedReqs[row.ID]
+	}
+	res.ServedReqPerSec = float64(servedReqs) / sec
+	var hits, misses uint64
+	for _, r := range s.rpns {
+		h, m := r.CacheStats()
+		hits += h
+		misses += m
+	}
+	if hits+misses > 0 {
+		res.CacheHitRate = float64(hits) / float64(hits+misses)
+	}
+	if s.opts.RDN != nil {
+		for i, fe := range s.fronts {
+			res.RDNUtilization[i] = min(1, (fe.cpu.busy-fe.busyAtWindowStart).Seconds()/sec)
+		}
+		res.Result.RDNUtilization = res.RDNUtilization[0]
+	}
+	return res
+}

@@ -4,7 +4,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,116 +12,6 @@ import (
 	"gage/internal/faults"
 	"gage/internal/qos"
 )
-
-func TestDiffReports(t *testing.T) {
-	vec := func(cpu time.Duration, bytes int64) qos.Vector {
-		return qos.Vector{CPUTime: cpu, NetBytes: bytes}
-	}
-	cases := []struct {
-		name      string
-		cum, prev core.UsageReport
-		want      core.UsageReport
-	}{
-		{
-			name: "first-report",
-			cum: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 2},
-				}},
-			prev: core.UsageReport{},
-			want: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 2},
-				}},
-		},
-		{
-			name: "steady-delta",
-			cum: core.UsageReport{Node: 1, Total: vec(30*time.Millisecond, 300),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(30*time.Millisecond, 300), Completed: 6},
-				}},
-			prev: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 2},
-				}},
-			want: core.UsageReport{Node: 1, Total: vec(20*time.Millisecond, 200),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(20*time.Millisecond, 200), Completed: 4},
-				}},
-		},
-		{
-			name: "zero-delta-cycle-drops-idle-subscribers",
-			cum: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 2},
-				}},
-			prev: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 2},
-				}},
-			want: core.UsageReport{Node: 1, Total: vec(0, 0),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{}},
-		},
-		{
-			name: "backend-restart-resets-counters",
-			cum: core.UsageReport{Node: 1, Total: vec(5*time.Millisecond, 50),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(5*time.Millisecond, 50), Completed: 1},
-				}},
-			prev: core.UsageReport{Node: 1, Total: vec(30*time.Millisecond, 300),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(30*time.Millisecond, 300), Completed: 6},
-				}},
-			// Counters went backwards: the fresh cumulative IS the delta.
-			want: core.UsageReport{Node: 1, Total: vec(5*time.Millisecond, 50),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(5*time.Millisecond, 50), Completed: 1},
-				}},
-		},
-		{
-			name: "per-subscriber-reset-without-total-reset",
-			// Totals still look monotone (another subscriber grew enough),
-			// but one subscriber's counters went backwards — its fresh
-			// cumulative is taken rather than a negative delta.
-			cum: core.UsageReport{Node: 1, Total: vec(50*time.Millisecond, 500),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(2*time.Millisecond, 20), Completed: 1},
-					"b": {Usage: vec(48*time.Millisecond, 480), Completed: 9},
-				}},
-			prev: core.UsageReport{Node: 1, Total: vec(40*time.Millisecond, 400),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(10*time.Millisecond, 100), Completed: 3},
-					"b": {Usage: vec(30*time.Millisecond, 300), Completed: 6},
-				}},
-			want: core.UsageReport{Node: 1, Total: vec(10*time.Millisecond, 100),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(2*time.Millisecond, 20), Completed: 1},
-					"b": {Usage: vec(18*time.Millisecond, 180), Completed: 3},
-				}},
-		},
-		{
-			name: "subscriber-vanishes-after-restart",
-			cum: core.UsageReport{Node: 1, Total: vec(0, 0),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{}},
-			prev: core.UsageReport{Node: 1, Total: vec(30*time.Millisecond, 300),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-					"a": {Usage: vec(30*time.Millisecond, 300), Completed: 6},
-				}},
-			// Restart with nothing served yet: delta is the (empty) fresh
-			// cumulative; the vanished subscriber contributes nothing.
-			want: core.UsageReport{Node: 1, Total: vec(0, 0),
-				BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{}},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := diffReports(tc.cum, tc.prev)
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("diffReports:\n got %+v\nwant %+v", got, tc.want)
-			}
-		})
-	}
-}
 
 // chaosCluster is like cluster but routes every backend dial through a
 // faults.Chaos switchboard and gates each backend's listener behind it, so a

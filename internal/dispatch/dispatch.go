@@ -858,7 +858,7 @@ func (s *Server) pollOne(id core.NodeID, addr string, na *nodeAcct) {
 	s.noteBreaker(id, breaker.Poll, true)
 	na.mu.Lock()
 	prev := na.lastSeen
-	delta := diffReportsInto(cum, prev, na.deltaScratch)
+	delta := core.DiffUsageReports(cum, prev, na.deltaScratch)
 	na.deltaScratch = delta.BySubscriber
 	na.lastSeen = cum
 	// The displaced snapshot's map becomes the next poll's decode target.
@@ -898,47 +898,6 @@ func (s *Server) pollReport(id core.NodeID, addr string, reuse map[qos.Subscribe
 	}
 	rep.Node = id // trust our own pool identity, not the backend's claim
 	return rep, nil
-}
-
-// diffReports converts a backend's cumulative report into the delta since
-// the previous snapshot. A backend restart (counters going backwards) is
-// treated as a fresh start: the new cumulative IS the delta.
-func diffReports(cum, prev core.UsageReport) core.UsageReport {
-	return diffReportsInto(cum, prev, nil)
-}
-
-// diffReportsInto is diffReports writing the per-subscriber deltas into the
-// caller's reused map (cleared first; nil allocates fresh).
-func diffReportsInto(cum, prev core.UsageReport, scratch map[qos.SubscriberID]core.SubscriberUsage) core.UsageReport {
-	if scratch == nil {
-		scratch = make(map[qos.SubscriberID]core.SubscriberUsage, len(cum.BySubscriber))
-	} else {
-		clear(scratch)
-	}
-	delta := core.UsageReport{
-		Node:         cum.Node,
-		Total:        cum.Total.Sub(prev.Total),
-		BySubscriber: scratch,
-	}
-	if delta.Total.AnyNegative() {
-		delta.Total = cum.Total
-		prev = core.UsageReport{}
-	}
-	for id, u := range cum.BySubscriber {
-		p := prev.BySubscriber[id]
-		d := core.SubscriberUsage{
-			Usage:     u.Usage.Sub(p.Usage),
-			Completed: u.Completed - p.Completed,
-		}
-		if d.Usage.AnyNegative() || d.Completed < 0 {
-			d = u // restarted backend: take the fresh cumulative
-		}
-		if d.Usage.IsZero() && d.Completed == 0 {
-			continue
-		}
-		delta.BySubscriber[id] = d
-	}
-	return delta
 }
 
 var reqIDs atomic.Uint64

@@ -77,6 +77,17 @@ func get(t *testing.T, addr, host, path string) (*httpwire.Response, error) {
 	return httpwire.ReadResponse(bufio.NewReader(conn))
 }
 
+// waitServed polls until the dispatcher has counted n served requests (or
+// two seconds pass, leaving the caller's assertion to fail as it would
+// have). relay counts `served` after the response write returns, so a client
+// can be holding its response a moment before the counter moves; any test
+// that reads Served straight after a response waits here first.
+func waitServed(srv *Server, n uint64) {
+	for deadline := time.Now().Add(2 * time.Second); srv.Stats().Served < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRelayEndToEnd(t *testing.T) {
 	addr, srv := cluster(t, 2, defaultSubs(), core.Config{})
 	resp, err := get(t, addr, "www.site1.example", "/static/2048.html")
@@ -89,6 +100,7 @@ func TestRelayEndToEnd(t *testing.T) {
 	if len(resp.Body) != 2048 {
 		t.Errorf("body = %d bytes, want 2048", len(resp.Body))
 	}
+	waitServed(srv, 1)
 	st := srv.Stats()
 	if st.Served != 1 || st.Accepted != 1 {
 		t.Errorf("stats = %+v, want served=1", st)
@@ -247,6 +259,7 @@ func TestManyConcurrentRequestsSpreadAcrossBackends(t *testing.T) {
 	for err := range errs {
 		t.Errorf("request failed: %v", err)
 	}
+	waitServed(srv, n)
 	if got := srv.Stats().Served; got != n {
 		t.Errorf("served = %d, want %d", got, n)
 	}
@@ -283,6 +296,7 @@ func TestPersistentConnectionServesMultipleRequests(t *testing.T) {
 			t.Fatalf("request %d: status %d, %d bytes", i, resp.StatusCode, len(resp.Body))
 		}
 	}
+	waitServed(srv, 3)
 	if got := srv.Stats().Served; got != 3 {
 		t.Errorf("served = %d, want 3 on one connection", got)
 	}
@@ -316,10 +330,11 @@ func TestWantKeepAlive(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	addr, _ := cluster(t, 2, defaultSubs(), core.Config{})
+	addr, srv := cluster(t, 2, defaultSubs(), core.Config{})
 	if _, err := get(t, addr, "www.site1.example", "/static/100.html"); err != nil {
 		t.Fatalf("get: %v", err)
 	}
+	waitServed(srv, 1)
 	resp, err := get(t, addr, "", StatsPath)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
@@ -723,6 +738,7 @@ func TestRelayRetriesAlternateNode(t *testing.T) {
 			t.Fatalf("request %d: status = %d, want 200 (retry must route around the dead node)", i, resp.StatusCode)
 		}
 	}
+	waitServed(srv, n)
 	st := srv.Stats()
 	if st.Served != n {
 		t.Errorf("served = %d, want %d", st.Served, n)
@@ -828,43 +844,5 @@ func TestConcurrentAcctPollsSurviveDeadBackend(t *testing.T) {
 	}
 	if srv.Scheduler().NodeEnabled(3) {
 		t.Error("hung node 3 must be disabled")
-	}
-}
-
-// TestDiffReportsPerSubscriberRestart: one subscriber's counters jump
-// backwards (its worker restarted) while another's advance — the restarted
-// one contributes its fresh cumulative, the healthy one its normal delta.
-func TestDiffReportsPerSubscriberRestart(t *testing.T) {
-	usage := func(cpu int64, completed int) core.SubscriberUsage {
-		return core.SubscriberUsage{
-			Usage:     qos.Vector{CPUTime: time.Duration(cpu)},
-			Completed: completed,
-		}
-	}
-	prev := core.UsageReport{
-		Node:  1,
-		Total: qos.Vector{CPUTime: 300},
-		BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-			"steady":    usage(200, 20),
-			"restarted": usage(100, 10),
-		},
-	}
-	cum := core.UsageReport{
-		Node:  1,
-		Total: qos.Vector{CPUTime: 330}, // total still advances
-		BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
-			"steady":    usage(310, 31),
-			"restarted": usage(20, 2), // went backwards: fresh start
-		},
-	}
-	delta := diffReports(cum, prev)
-	if got := delta.BySubscriber["steady"]; got != usage(110, 11) {
-		t.Errorf("steady delta = %+v, want 110/11", got)
-	}
-	if got := delta.BySubscriber["restarted"]; got != usage(20, 2) {
-		t.Errorf("restarted delta = %+v, want fresh cumulative 20/2", got)
-	}
-	if delta.Total != (qos.Vector{CPUTime: 30}) {
-		t.Errorf("delta total = %v, want 30", delta.Total)
 	}
 }

@@ -77,6 +77,7 @@ func TestOwnsRefusesForeignGroups(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("owned-group status = %d, want 200", resp.StatusCode)
 	}
+	waitServed(srv, 1)
 	st := srv.Stats()
 	if st.NotOwned != 1 {
 		t.Fatalf("notOwned = %d, want 1", st.NotOwned)
