@@ -30,10 +30,12 @@ race:
 # Fault-injection suite: the simulator's chaos tests (replayable crash
 # schedules, settlement and balance invariants, the 3×-load overload drill)
 # and the live dispatcher's scripted-outage, health-flap, overload-shedding
-# and drain drills, run twice to shake out order dependence between runs.
+# and drain drills, and the backend connection pool's and keep-alive loop's
+# failure drills (stale, crashed, drained, breaker-opened and shut-down
+# connections), run twice to shake out order dependence between runs.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission' \
-		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/
+	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission|TestPool|TestKeepAlive' \
+		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/ ./internal/backend/
 	go test -race -count=2 ./internal/breaker/
 
 # Scheduler hot-path scale trajectory: one steady-state scheduling cycle

@@ -61,7 +61,21 @@ type Server struct {
 	// lnMu guards ln: Serve publishes it while Close may run concurrently.
 	lnMu sync.Mutex
 	ln   net.Listener
+
+	// conns tracks open connections so Close can unpark the ones idling
+	// between requests. Guarded by connMu.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
+
+	// idleTimeout bounds each request's read and write on a connection
+	// (IdleTimeout; tests shorten it).
+	idleTimeout time.Duration
 }
+
+// IdleTimeout is how long a connection may sit between requests, or stall
+// inside one, before the backend hangs up. A peer pooling connections to this
+// server must retire its idle ones sooner.
+const IdleTimeout = 30 * time.Second
 
 // New creates a backend server.
 func New(cfg Config) *Server {
@@ -69,16 +83,20 @@ func New(cfg Config) *Server {
 		cfg.Costs = workload.DefaultCostModel()
 	}
 	return &Server{
-		cfg:    cfg,
-		acct:   accounting.NewAccountant(cfg.Node),
-		procs:  make(map[qos.SubscriberID]accounting.ProcessID),
-		closed: make(chan struct{}),
+		cfg:         cfg,
+		acct:        accounting.NewAccountant(cfg.Node),
+		procs:       make(map[qos.SubscriberID]accounting.ProcessID),
+		closed:      make(chan struct{}),
+		conns:       make(map[net.Conn]struct{}),
+		idleTimeout: IdleTimeout,
 	}
 }
 
-// Serve accepts connections until the listener closes. One request is
-// served per connection (HTTP/1.0 style) — the dispatcher splices one
-// request per backend connection.
+// Serve accepts connections until the listener closes. Each connection is
+// served by a request loop: it stays open for another request when the peer
+// asked for persistence (HTTP/1.1 without "Connection: close", or HTTP/1.0
+// with "Connection: keep-alive") — the dispatcher's pooled second leg — and
+// closes after one request otherwise.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	s.ln = ln
@@ -109,7 +127,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting and waits for in-flight requests.
+// Close stops accepting, unparks connections idling between requests, and
+// waits for in-flight requests.
 func (s *Server) Close() error {
 	close(s.closed)
 	s.lnMu.Lock()
@@ -119,6 +138,14 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
+	// Expiring the read deadline wakes handlers parked in ReadRequest without
+	// disturbing a response write in progress. A handler renews its deadline
+	// before it checks closed, so one that misses this sweep sees closed.
+	s.connMu.Lock()
+	for c := range s.conns {
+		_ = c.SetReadDeadline(time.Now())
+	}
+	s.connMu.Unlock()
 	s.wg.Wait()
 	return err
 }
@@ -128,20 +155,52 @@ func (s *Server) Report() core.UsageReport {
 	return s.acct.Cycle()
 }
 
-// handle serves one request on conn.
+// handle serves the requests of one connection until the peer stops asking
+// for persistence, hangs up, stalls past the idle timeout, or the server
+// closes.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	// Misbehaving peers must not pin the handler forever.
-	// Deadline errors surface through the read below.
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req, err := httpwire.ReadRequest(bufio.NewReader(conn))
-	if err != nil {
-		writeError(conn, 400)
-		return
+	s.connMu.Lock()
+	s.conns[conn] = struct{}{}
+	s.connMu.Unlock()
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, conn)
+		s.connMu.Unlock()
+		conn.Close()
+	}()
+	br := bufio.NewReader(conn)
+	for {
+		// Misbehaving peers must not pin the handler forever; the deadline
+		// renews per request. Deadline errors surface through the read below.
+		_ = conn.SetDeadline(time.Now().Add(s.idleTimeout))
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
+		req, err := httpwire.ReadRequest(br)
+		if err != nil {
+			// Only bytes that do not parse earn an answer. A peer hanging up
+			// between requests is the normal end of a persistent connection,
+			// and an idle timeout or Close unparking the reader must not
+			// leave a 400 behind for the peer to mistake for its next reply.
+			if errors.Is(err, httpwire.ErrMalformedRequest) || errors.Is(err, httpwire.ErrBodyTooLarge) {
+				writeError(conn, 400)
+			}
+			return
+		}
+		if !s.serve(conn, req) {
+			return
+		}
 	}
+}
+
+// serve answers one request; it reports whether the connection stays open
+// for another.
+func (s *Server) serve(conn net.Conn, req *httpwire.Request) bool {
 	if req.Path() == ReportPath {
 		s.serveReport(conn)
-		return
+		return false
 	}
 	resp, cost := s.render(req)
 	// Echo the trace ID so the front end (and any log scraper watching the
@@ -149,13 +208,20 @@ func (s *Server) handle(conn net.Conn) {
 	if tid := req.Header[obs.TraceHeader]; tid != "" {
 		resp.Header[obs.TraceHeader] = tid
 	}
+	// Persistence is agreed per hop: the echo tells the peer this connection
+	// takes another request; without it the peer must assume one-shot.
+	keep := req.KeepAlive()
+	if keep {
+		resp.Header["Connection"] = "keep-alive"
+	}
 	if s.cfg.Delay > 0 {
 		time.Sleep(time.Duration(float64(cost.CPUTime+cost.DiskTime) * s.cfg.Delay))
 	}
-	// A failed response write means the client went away; usage is still
-	// charged — the work was done.
-	_ = resp.Write(conn)
+	// The work is done, so usage is charged whether or not the response
+	// write finds the client still there — and before it, so that a peer
+	// holding the response finds the charge in the next report.
 	s.charge(req, cost)
+	return resp.Write(conn) == nil && keep
 }
 
 // render builds the synthetic page and its modeled cost.

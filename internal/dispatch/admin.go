@@ -537,6 +537,7 @@ func (s *Server) adminAddNode(conn net.Conn, id core.NodeID, body []byte) {
 	cp.addrs[id] = addr
 	cp.breakers[id] = b
 	cp.acct[id] = &nodeAcct{}
+	cp.pools[id] = &connPool{}
 	cp.relayLat[id] = telemetry.NewHistogram()
 	s.topo.Store(cp)
 	// Growing the pool cannot break a guarantee; the zero-delta evaluation
@@ -590,6 +591,9 @@ func (s *Server) adminDrainNode(conn net.Conn, id core.NodeID, body []byte) {
 		s.respondAdminError(conn, 404, res)
 		return
 	}
+	// No dispatch will ask for them again; exchanges in flight close their
+	// own connection when they finish (see exchange).
+	s.flushIdle(id)
 	res.OutstandingGeneric = outst.GenericUnits()
 	s.annotate(flightrec.TierEvent{Kind: "node-drain", To: int(id)})
 	s.respondAdmin(conn, res)
@@ -653,7 +657,7 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 				default:
 					s.respondError(conn, 404)
 				}
-				if !wantKeepAlive(req) {
+				if !req.KeepAlive() {
 					return
 				}
 			}

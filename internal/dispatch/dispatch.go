@@ -5,8 +5,9 @@
 // reports into the scheduler's balances.
 //
 // It plays the RDN's role over real sockets. The first-leg handshake and
-// URL read happen here; the second leg is a fresh connection to the chosen
-// backend and the response is relayed to the client — application-level
+// URL read happen here; the second leg is a persistent connection to the
+// chosen backend, taken from that node's idle pool or dialled when the pool
+// is empty, and the response is relayed to the client — application-level
 // splicing, the deployable stand-in for the kernel-level packet remapping
 // that internal/splice models packet by packet.
 package dispatch
@@ -217,6 +218,9 @@ type topology struct {
 	// so concurrent polls of different nodes never serialize on a global
 	// lock.
 	acct map[core.NodeID]*nodeAcct
+	// pools holds each backend's idle persistent connections and its
+	// dial/reuse counters.
+	pools map[core.NodeID]*connPool
 	// draining marks nodes being gracefully retired: applyWeight pins their
 	// scheduler weight at 0 regardless of breaker health, so the per-cycle
 	// breaker tick cannot ramp a drained node back into the rotation.
@@ -236,6 +240,7 @@ func (t *topology) clone() *topology {
 		addrs:      make(map[core.NodeID]string, len(t.addrs)),
 		breakers:   make(map[core.NodeID]*breaker.Breaker, len(t.breakers)),
 		acct:       make(map[core.NodeID]*nodeAcct, len(t.acct)),
+		pools:      make(map[core.NodeID]*connPool, len(t.pools)),
 		draining:   make(map[core.NodeID]bool, len(t.draining)),
 	}
 	for k, v := range t.groupOf {
@@ -255,6 +260,9 @@ func (t *topology) clone() *topology {
 	}
 	for k, v := range t.acct {
 		cp.acct[k] = v
+	}
+	for k, v := range t.pools {
+		cp.pools[k] = v
 	}
 	for k, v := range t.draining {
 		cp.draining[k] = v
@@ -319,11 +327,16 @@ type Server struct {
 	// connMu.
 	adminConns map[net.Conn]struct{}
 
-	// beConns tracks live backend connections so the post-drain abort can
-	// cut hung exchanges instead of waiting out BackendTimeout. Guarded by
-	// beMu.
+	// beConns tracks live backend connections, in an exchange or idle in a
+	// pool, from dial to close, so the post-drain abort can cut hung
+	// exchanges instead of waiting out BackendTimeout and leaves no pooled
+	// connection open. Guarded by beMu.
 	beMu    sync.Mutex
 	beConns map[net.Conn]struct{}
+
+	// idleExpiry is how long a pooled backend connection may idle before the
+	// accounting tick retires it (backendIdleExpiry; tests shorten it).
+	idleExpiry time.Duration
 
 	// admission is the reservation-aware in-flight limiter (MaxConns).
 	admission *admission
@@ -516,8 +529,10 @@ func New(cfg Config) (*Server, error) {
 		relayLat[id] = telemetry.NewHistogram()
 	}
 	acct := make(map[core.NodeID]*nodeAcct, len(addrs))
+	pools := make(map[core.NodeID]*connPool, len(addrs))
 	for id := range addrs {
 		acct[id] = &nodeAcct{}
+		pools[id] = &connPool{}
 	}
 	groupOf := make(map[qos.SubscriberID]string, dir.Len())
 	for _, id := range dir.IDs() {
@@ -534,6 +549,7 @@ func New(cfg Config) (*Server, error) {
 		conns:      make(map[net.Conn]struct{}),
 		adminConns: make(map[net.Conn]struct{}),
 		beConns:    make(map[net.Conn]struct{}),
+		idleExpiry: backendIdleExpiry,
 		admission:  newAdmission(cfg.MaxConns, cfg.Subscribers, cfg.ShardCount),
 		tracer: telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: cfg.TraceSampleEvery,
@@ -554,6 +570,7 @@ func New(cfg Config) (*Server, error) {
 		addrs:      addrs,
 		breakers:   breakers,
 		acct:       acct,
+		pools:      pools,
 		draining:   make(map[core.NodeID]bool),
 	})
 	return srv, nil
@@ -734,24 +751,28 @@ func (s *Server) Close() error {
 	return err
 }
 
-// trackBackend registers a live backend connection for the shutdown sweep.
-// If the abort already happened the connection is cut immediately so the
-// caller's exchange fails fast instead of waiting out BackendTimeout.
-func (s *Server) trackBackend(c net.Conn) func() {
+// trackBackend registers a freshly dialled backend connection for the
+// shutdown sweep; closeBackend forgets it. If the abort already happened the
+// connection is cut immediately so the caller's exchange fails fast instead
+// of waiting out BackendTimeout.
+func (s *Server) trackBackend(c net.Conn) {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
 	select {
 	case <-s.stopCh:
 		_ = c.Close()
-		return func() {}
 	default:
+		s.beConns[c] = struct{}{}
 	}
-	s.beConns[c] = struct{}{}
-	return func() {
-		s.beMu.Lock()
-		delete(s.beConns, c)
-		s.beMu.Unlock()
-	}
+}
+
+// closeBackend closes a backend connection and drops it from the shutdown
+// sweep's set.
+func (s *Server) closeBackend(c net.Conn) {
+	s.beMu.Lock()
+	delete(s.beConns, c)
+	s.beMu.Unlock()
+	_ = c.Close()
 }
 
 // tickLoop runs the scheduling cycle against wall time.
@@ -815,6 +836,9 @@ func (s *Server) acctLoop() {
 					s.logger.Printf("dispatch: node %d breaker %v", id, b.State())
 				}
 				s.applyWeight(id, b)
+			}
+			for _, p := range t.pools {
+				s.reapIdle(p, now.Add(-s.idleExpiry))
 			}
 			for id, addr := range t.addrs {
 				na := t.acct[id]
@@ -902,26 +926,28 @@ func (s *Server) pollReport(id core.NodeID, addr string, reuse map[qos.Subscribe
 
 var reqIDs atomic.Uint64
 
-// retryTimerPool recycles backoff timers across retries; a timer goes back
-// stopped and drained, so a pooled timer is never live.
-var retryTimerPool sync.Pool
+// timerPool recycles the queue-wait and retry-backoff timers; a timer goes
+// back stopped and drained, so a pooled timer is never live.
+var timerPool sync.Pool
 
-func getRetryTimer(d time.Duration) *time.Timer {
-	if t, _ := retryTimerPool.Get().(*time.Timer); t != nil {
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
 		t.Reset(d)
 		return t
 	}
 	return time.NewTimer(d)
 }
 
-// putRetryTimer returns a timer to the pool; fired says its channel was
-// already received from, otherwise the timer is stopped and, if it fired
-// concurrently, drained.
-func putRetryTimer(t *time.Timer, fired bool) {
-	if !fired && !t.Stop() {
-		<-t.C
+// putTimer stops the timer, drains its channel if it fired unreceived, and
+// returns it to the pool.
+func putTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
-	retryTimerPool.Put(t)
+	timerPool.Put(t)
 }
 
 // readerPool recycles bufio readers for the relay and accounting-poll paths;
@@ -973,10 +999,10 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		if !s.serveOne(conn, req) {
-			return
-		}
-		if !wantKeepAlive(req) {
+		// The client's own wish, read before the relay rewrites Connection
+		// for the backend leg.
+		keep := req.KeepAlive()
+		if !s.serveOne(conn, req) || !keep {
 			return
 		}
 	}
@@ -1080,8 +1106,8 @@ func (s *Server) serveOne(conn net.Conn, req *httpwire.Request) bool {
 		return true
 	}
 	tr.Add(telemetry.StageQueue, 0, "")
-	timer := time.NewTimer(s.cfg.QueueTimeout)
-	defer timer.Stop()
+	timer := getTimer(s.cfg.QueueTimeout)
+	defer putTimer(timer)
 	select {
 	case node := <-pc.node:
 		if pc.state.Load() == pcAbandoned {
@@ -1155,24 +1181,15 @@ func (s *Server) abandon(pc *pendingConn) {
 	s.sched.CancelQueued(pc.sub, pc.id)
 }
 
-// wantKeepAlive implements the HTTP/1.x persistence rules: 1.1 defaults to
-// keep-alive unless "Connection: close"; 1.0 requires an explicit opt-in.
-func wantKeepAlive(req *httpwire.Request) bool {
-	c := req.Header["Connection"]
-	if req.Proto == "HTTP/1.1" {
-		return !strings.EqualFold(c, "close")
-	}
-	return strings.EqualFold(c, "keep-alive")
-}
-
 // relay forwards the request to the chosen backend and the parsed response
-// to the client — the application-level splice. A backend that fails the
-// dial (or whose breaker refuses the relay) gets one retry: the charge is
-// re-dispatched through the scheduler to an alternate node after a short
-// backoff, so a node dying between dispatch and dial degrades to extra
-// latency instead of a 502. The backoff and the whole path select on stopCh
-// so Close never blocks on a sleeping retry. It reports whether the client
-// connection remains usable.
+// to the client — the application-level splice. A backend that cannot be
+// sent the request (its breaker refuses the relay, the dial fails, or the
+// request write breaks off) gets one retry: the charge is re-dispatched
+// through the scheduler to an alternate node after a short backoff, so a
+// node dying between dispatch and dial degrades to extra latency instead of
+// a 502. A stale pooled connection is not such a failure (see exchange). The
+// backoff and the whole path select on stopCh so Close never blocks on a
+// sleeping retry. It reports whether the client connection remains usable.
 func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	tr := pc.trace
 	if s.cfg.Fence != nil && !s.cfg.Fence(pc.group) {
@@ -1191,8 +1208,8 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	}
 	tr.Add(telemetry.StageRelay, int64(node), "")
 	attempt := time.Now()
-	be, untrack, err := s.sendRequest(pc, node)
-	if err != nil {
+	resp, sent, err := s.exchange(pc, node)
+	if err != nil && !sent {
 		alt, ok := s.sched.Redispatch(pc.sub, pc.id, node)
 		if !ok {
 			// No alternate has room; the charge is already released.
@@ -1209,12 +1226,12 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		// A pooled timer, stopped and drained on the abort path: time.After
 		// here stranded a live timer until expiry for every shutdown-aborted
 		// retry, pinning its channel and callback for the full backoff.
-		bt := getRetryTimer(s.cfg.RetryBackoff)
+		bt := getTimer(s.cfg.RetryBackoff)
 		select {
 		case <-bt.C:
-			putRetryTimer(bt, true)
+			putTimer(bt)
 		case <-s.stopCh:
-			putRetryTimer(bt, false)
+			putTimer(bt)
 			// Shutdown abort: reclaim the alternate's charge and give up.
 			s.sched.ReleaseDispatch(pc.sub, alt, pc.id)
 			tr.Settle(telemetry.OutcomeDrainAbort)
@@ -1224,8 +1241,8 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		// The relay latency histogram measures the exchange against the
 		// node that actually served; restart the clock for the alternate.
 		attempt = time.Now()
-		be, untrack, err = s.sendRequest(pc, alt)
-		if err != nil {
+		resp, sent, err = s.exchange(pc, alt)
+		if err != nil && !sent {
 			// The retry hop is already in the trace; exactly one terminal
 			// outcome settles it here.
 			s.sched.ReleaseDispatch(pc.sub, alt, pc.id)
@@ -1236,28 +1253,18 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		}
 		node = alt
 	}
-	defer untrack()
-	defer be.Close()
-	// Parse the response so the client connection's framing survives for
-	// the next request; usage accounting arrives separately via the
-	// periodic report poll.
-	rbr := getReader(be)
-	resp, err := httpwire.ReadResponse(rbr)
-	putReader(rbr)
 	if err != nil {
 		tr.Settle(telemetry.OutcomeError)
 		s.errs.Add(1)
-		s.noteBreaker(node, breaker.Relay, false)
 		s.respondError(pc.conn, 502)
 		return true
 	}
-	// Only a complete exchange counts as relay success: a backend that
-	// accepts TCP but fails every request must still trip its breaker, so
-	// success is noted here rather than at dial time.
-	s.noteBreaker(node, breaker.Relay, true)
 	if h := s.top().relayLat[node]; h != nil {
 		h.Record(time.Since(attempt))
 	}
+	// The backend's Connection header spoke for its own leg; the client's
+	// persistence is the client's to choose.
+	delete(resp.Header, "Connection")
 	if err := resp.Write(pc.conn); err != nil {
 		tr.Settle(telemetry.OutcomeClientGone)
 		s.errs.Add(1)
@@ -1269,45 +1276,6 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	}
 	tr.Settle(telemetry.OutcomeServed)
 	return true
-}
-
-// sendRequest performs one full request transmission toward a backend:
-// breaker admission, dial, deadline, and the request write, with the
-// charging-entity and trace headers applied. Any failure — refusal, dial
-// error, or a partially written request — tears the attempt down (breaker
-// failure noted, connection untracked and closed) and returns the error so
-// the caller can redispatch. A write that fails mid-request must reach the
-// retry path exactly like a failed dial: the backend may or may not have
-// seen the bytes, but the client has seen nothing, so the exchange is safe
-// to re-aim at an alternate.
-func (s *Server) sendRequest(pc *pendingConn, node core.NodeID) (net.Conn, func(), error) {
-	if !s.breakerAllow(node) {
-		return nil, nil, errBreakerRefused
-	}
-	be, err := s.cfg.Dial("tcp", s.top().addrs[node], s.cfg.DialTimeout)
-	if err != nil {
-		s.noteBreaker(node, breaker.Relay, false)
-		return nil, nil, err
-	}
-	untrack := s.trackBackend(be)
-	// Bound the whole backend exchange.
-	_ = be.SetDeadline(time.Now().Add(s.cfg.BackendTimeout))
-	// Tag the request with its charging entity for backend accounting, and
-	// with its trace ID so the backend can echo it back for attribution.
-	if pc.req.Header == nil {
-		pc.req.Header = make(map[string]string)
-	}
-	pc.req.Header[backend.SubscriberHeader] = string(pc.sub)
-	if pc.tid != 0 {
-		pc.req.Header[obs.TraceHeader] = pc.tid.String()
-	}
-	if err := pc.req.Write(be); err != nil {
-		untrack()
-		be.Close()
-		s.noteBreaker(node, breaker.Relay, false)
-		return nil, nil, err
-	}
-	return be, untrack, nil
 }
 
 // errBreakerRefused marks a relay skipped because the target's breaker is
@@ -1342,6 +1310,11 @@ func (s *Server) noteBreaker(id core.NodeID, src breaker.Source, success bool) {
 			map[bool]string{true: "success", false: "failure"}[success])
 		s.bus.Publish(obs.Event{Kind: obs.KindBreaker, Node: int(id),
 			Stage: b.State().String(), Detail: src.String()})
+		if !success {
+			// The breaker just opened: whatever broke the node has likely
+			// broken its idle connections too.
+			s.flushIdle(id)
+		}
 	}
 	s.applyWeight(id, b)
 }
@@ -1408,6 +1381,8 @@ type nodeJSON struct {
 	Weight          float64 `json:"weight"`
 	PollStreak      int     `json:"pollStreak"`
 	RelayStreak     int     `json:"relayStreak"`
+	BackendDials    uint64  `json:"backendDials"`
+	ConnReuses      uint64  `json:"backendConnReuses"`
 }
 
 // serveStats answers the operational-stats endpoint.
@@ -1465,6 +1440,10 @@ func (s *Server) serveStats(conn net.Conn) {
 			}
 			nj.PollStreak = snap.PollStreak
 			nj.RelayStreak = snap.RelayStreak
+		}
+		if p := t.pools[nodeID]; p != nil {
+			nj.BackendDials = p.dials.Load()
+			nj.ConnReuses = p.reuses.Load()
 		}
 		out.Nodes[fmt.Sprintf("%d", nodeID)] = nj
 	}

@@ -323,8 +323,8 @@ func TestWantKeepAlive(t *testing.T) {
 		if tt.connection != "" {
 			req.Header["Connection"] = tt.connection
 		}
-		if got := wantKeepAlive(req); got != tt.want {
-			t.Errorf("wantKeepAlive(%s, %q) = %v, want %v", tt.proto, tt.connection, got, tt.want)
+		if got := req.KeepAlive(); got != tt.want {
+			t.Errorf("KeepAlive(%s, %q) = %v, want %v", tt.proto, tt.connection, got, tt.want)
 		}
 	}
 }

@@ -121,6 +121,15 @@ func TestScrapeUnderShardedLoad(t *testing.T) {
 		t.Error(err)
 	}
 
+	// relay counts a request served after its response write returns, so the
+	// last client can hold its 200 a moment before the counter moves.
+	booked := func() uint64 {
+		st := srv.Stats()
+		return st.Served + st.Shed + st.Rejected + st.Unclassified
+	}
+	for deadline := time.Now().Add(2 * time.Second); booked() < 4*rounds && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	st := srv.Stats()
 	if st.Served == 0 {
 		t.Fatal("no request served through the churn")

@@ -125,6 +125,18 @@ func (s *Server) buildExposition() ([]byte, error) {
 			e.Add("gage_node_breaker_opens_total", nodeLabel(id), float64(snap.Opens))
 		}
 	}
+	e.Family("gage_backend_dials_total", "counter", "Backend connections dialled for relays per node (accounting polls excluded).")
+	for _, id := range nodeIDs {
+		if p := t.pools[id]; p != nil {
+			e.Add("gage_backend_dials_total", nodeLabel(id), float64(p.dials.Load()))
+		}
+	}
+	e.Family("gage_backend_conn_reuses_total", "counter", "Relay exchanges started on a pooled backend connection per node.")
+	for _, id := range nodeIDs {
+		if p := t.pools[id]; p != nil {
+			e.Add("gage_backend_conn_reuses_total", nodeLabel(id), float64(p.reuses.Load()))
+		}
+	}
 
 	e.Family("gage_request_latency_seconds", "summary", "End-to-end latency of served requests, classify to response write.")
 	for _, id := range subIDs {

@@ -55,6 +55,17 @@ func (r *Request) Path() string {
 	return t
 }
 
+// KeepAlive reports whether the sender asked for a persistent connection
+// under the HTTP/1.x rules: 1.1 defaults to keep-alive unless
+// "Connection: close"; 1.0 requires an explicit "Connection: keep-alive".
+func (r *Request) KeepAlive() bool {
+	c := r.Header["Connection"]
+	if r.Proto == "HTTP/1.1" {
+		return !strings.EqualFold(c, "close")
+	}
+	return strings.EqualFold(c, "keep-alive")
+}
+
 // ReadRequest parses one request (head and Content-Length body) from r.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
 	line, err := readLine(r)
@@ -95,18 +106,27 @@ func ParseRequest(b []byte) (*Request, error) {
 
 // Write serializes the request, normalizing Host into a header.
 func (r *Request) Write(w io.Writer) error {
-	var buf bytes.Buffer
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.0"
 	}
-	fmt.Fprintf(&buf, "%s %s %s\r\n", r.Method, r.Target, proto)
+	n := len(r.Method) + len(r.Target) + len(proto) + len("  \r\n")
 	if r.Host != "" {
-		fmt.Fprintf(&buf, "Host: %s\r\n", r.Host)
+		n += len("Host: \r\n") + len(r.Host)
 	}
-	writeHeaders(&buf, r.Header, len(r.Body), "Host")
-	buf.Write(r.Body)
-	_, err := w.Write(buf.Bytes())
+	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
+	buf = append(buf, r.Method...)
+	buf = append(buf, ' ')
+	buf = append(buf, r.Target...)
+	buf = append(buf, ' ')
+	buf = append(buf, proto...)
+	buf = append(buf, "\r\n"...)
+	if r.Host != "" {
+		buf = appendHeader(buf, "Host", r.Host)
+	}
+	buf = appendHeaders(buf, r.Header, len(r.Body), "Host")
+	buf = append(buf, r.Body...)
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -154,7 +174,6 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 
 // Write serializes the response with a correct Content-Length.
 func (r *Response) Write(w io.Writer) error {
-	var buf bytes.Buffer
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.0"
@@ -163,10 +182,17 @@ func (r *Response) Write(w io.Writer) error {
 	if status == "" {
 		status = StatusText(r.StatusCode)
 	}
-	fmt.Fprintf(&buf, "%s %d %s\r\n", proto, r.StatusCode, status)
-	writeHeaders(&buf, r.Header, len(r.Body))
-	buf.Write(r.Body)
-	_, err := w.Write(buf.Bytes())
+	n := len(proto) + maxIntLen + len(status) + len("  \r\n")
+	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
+	buf = append(buf, proto...)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(r.StatusCode), 10)
+	buf = append(buf, ' ')
+	buf = append(buf, status...)
+	buf = append(buf, "\r\n"...)
+	buf = appendHeaders(buf, r.Header, len(r.Body), "")
+	buf = append(buf, r.Body...)
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -234,35 +260,54 @@ func readBody(r *bufio.Reader, header map[string]string) ([]byte, error) {
 	return body, nil
 }
 
-func writeHeaders(buf *bytes.Buffer, header map[string]string, bodyLen int, skip ...string) {
-	keys := make([]string, 0, len(header))
-outer:
+// maxIntLen is the longest decimal rendering of an int64, sign included.
+const maxIntLen = 20
+
+// headersLen bounds what appendHeaders appends for header: every line, a
+// Content-Length line and the blank line that ends the head.
+func headersLen(header map[string]string) int {
+	n := len("Content-Length: \r\n") + maxIntLen + len("\r\n")
+	for k, v := range header {
+		n += len(k) + len(": \r\n") + len(v)
+	}
+	return n
+}
+
+func appendHeader(buf []byte, k, v string) []byte {
+	buf = append(buf, k...)
+	buf = append(buf, ": "...)
+	buf = append(buf, v...)
+	return append(buf, "\r\n"...)
+}
+
+// appendHeaders appends the header lines in sorted key order (skip and
+// Content-Length left out), the Content-Length line when there is a body or
+// the header names one, and the blank line.
+func appendHeaders(buf []byte, header map[string]string, bodyLen int, skip string) []byte {
+	// The usual handful of keys sorts in place on the stack.
+	var stack [16]string
+	keys := stack[:0]
 	for k := range header {
-		for _, s := range skip {
-			if k == s {
-				continue outer
-			}
-		}
-		if k == "Content-Length" {
+		if k == skip || k == "Content-Length" {
 			continue
 		}
+		// Insertion sort: deterministic header order.
+		i := len(keys)
 		keys = append(keys, k)
-	}
-	// Deterministic header order.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
+		for ; i > 0 && keys[i-1] > k; i-- {
+			keys[i] = keys[i-1]
 		}
+		keys[i] = k
 	}
 	for _, k := range keys {
-		fmt.Fprintf(buf, "%s: %s\r\n", k, header[k])
+		buf = appendHeader(buf, k, header[k])
 	}
 	if bodyLen > 0 || header["Content-Length"] != "" {
-		fmt.Fprintf(buf, "Content-Length: %d\r\n", bodyLen)
+		buf = append(buf, "Content-Length: "...)
+		buf = strconv.AppendInt(buf, int64(bodyLen), 10)
+		buf = append(buf, "\r\n"...)
 	}
-	buf.WriteString("\r\n")
+	return append(buf, "\r\n"...)
 }
 
 func hostOf(target string, header map[string]string) string {

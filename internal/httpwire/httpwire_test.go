@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,5 +228,107 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refWriteHeaders is the fmt-based header serialisation Write used before it
+// was hand-rolled: the reference the wire bytes are pinned against.
+func refWriteHeaders(buf *bytes.Buffer, header map[string]string, bodyLen int, skip string) {
+	var keys []string
+	for k := range header {
+		if k != skip && k != "Content-Length" {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(buf, "%s: %s\r\n", k, header[k])
+	}
+	if bodyLen > 0 || header["Content-Length"] != "" {
+		fmt.Fprintf(buf, "Content-Length: %d\r\n", bodyLen)
+	}
+	buf.WriteString("\r\n")
+}
+
+func manyHeaders(n int) map[string]string {
+	h := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		h[fmt.Sprintf("X-H%02d", (i*7)%n)] = strings.Repeat("v", i)
+	}
+	return h
+}
+
+func TestRequestWriteWireBytes(t *testing.T) {
+	tests := []*Request{
+		{Method: "GET", Target: "/static/512.html", Proto: "HTTP/1.1", Host: "www.site1.example",
+			Header: map[string]string{"Host": "www.site1.example", "X-Gage-Subscriber": "site1", "Connection": "keep-alive"}},
+		{Method: "GET", Target: "/", Header: nil},
+		{Method: "POST", Target: "/api", Proto: "HTTP/1.0", Header: map[string]string{"Host": "kept.example", "Content-Length": "99"}, Body: []byte("payload")},
+		{Method: "PUT", Target: "/empty", Host: "h", Header: map[string]string{"Content-Length": "0"}},
+		{Method: "GET", Target: "/many", Host: "h", Header: manyHeaders(40)},
+	}
+	for _, req := range tests {
+		var want bytes.Buffer
+		proto := req.Proto
+		if proto == "" {
+			proto = "HTTP/1.0"
+		}
+		fmt.Fprintf(&want, "%s %s %s\r\n", req.Method, req.Target, proto)
+		if req.Host != "" {
+			fmt.Fprintf(&want, "Host: %s\r\n", req.Host)
+		}
+		refWriteHeaders(&want, req.Header, len(req.Body), "Host")
+		want.Write(req.Body)
+		var got bytes.Buffer
+		if err := req.Write(&got); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("request %s %s wire bytes:\n got %q\nwant %q", req.Method, req.Target, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+func TestResponseWriteWireBytes(t *testing.T) {
+	tests := []*Response{
+		{StatusCode: 200, Header: map[string]string{"Content-Type": "text/html", "X-Gage-Usage": "1070500,250000,912", "Connection": "keep-alive"}, Body: bytes.Repeat([]byte("a"), 512)},
+		{StatusCode: 503, Header: map[string]string{}},
+		{StatusCode: 418, Proto: "HTTP/1.1", Header: nil},
+		{StatusCode: 200, Status: "Fine", Header: map[string]string{"Content-Length": "7", "Host": "not-skipped"}},
+		{StatusCode: -12, Header: manyHeaders(17), Body: []byte("x")},
+	}
+	for _, resp := range tests {
+		var want bytes.Buffer
+		proto, status := resp.Proto, resp.Status
+		if proto == "" {
+			proto = "HTTP/1.0"
+		}
+		if status == "" {
+			status = StatusText(resp.StatusCode)
+		}
+		fmt.Fprintf(&want, "%s %d %s\r\n", proto, resp.StatusCode, status)
+		refWriteHeaders(&want, resp.Header, len(resp.Body), "")
+		want.Write(resp.Body)
+		var got bytes.Buffer
+		if err := resp.Write(&got); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("response %d wire bytes:\n got %q\nwant %q", resp.StatusCode, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// The serialisers size their buffer up front: one allocation per Write for
+// the usual handful of headers.
+func TestWriteAllocatesOnce(t *testing.T) {
+	req := &Request{Method: "GET", Target: "/static/512.html", Proto: "HTTP/1.1", Host: "www.site1.example",
+		Header: map[string]string{"Host": "www.site1.example", "X-Gage-Subscriber": "site1", "X-Gage-Trace": "000100000000001f"}}
+	resp := &Response{StatusCode: 200, Header: map[string]string{"Content-Type": "text/html", "X-Gage-Usage": "1,2,3"}, Body: make([]byte, 512)}
+	if n := testing.AllocsPerRun(100, func() { _ = req.Write(io.Discard) }); n > 1 {
+		t.Errorf("Request.Write allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = resp.Write(io.Discard) }); n > 1 {
+		t.Errorf("Response.Write allocates %.0f times, want 1", n)
 	}
 }
