@@ -30,11 +30,13 @@ race:
 # Fault-injection suite: the simulator's chaos tests (replayable crash
 # schedules, settlement and balance invariants, the 3×-load overload drill)
 # and the live dispatcher's scripted-outage, health-flap, overload-shedding
-# and drain drills, and the backend connection pool's and keep-alive loop's
+# and drain drills, the backend connection pool's and keep-alive loop's
 # failure drills (stale, crashed, drained, breaker-opened and shut-down
-# connections), run twice to shake out order dependence between runs.
+# connections), and the relay's streaming drills (a backend or a client
+# breaking off mid-body, mis-framed and oversized heads), run twice to shake
+# out order dependence between runs.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission|TestPool|TestKeepAlive' \
+	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission|TestPool|TestKeepAlive|TestRelay' \
 		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/ ./internal/backend/
 	go test -race -count=2 ./internal/breaker/
 
@@ -87,11 +89,14 @@ chaos-rdn:
 # feasibility-gated drain, and a refused infeasible admission) audited to
 # zero violation spans for untouched subscribers, plus run-to-run
 # determinism and the live admin API's property/decoder suites with a
-# short fuzz smoke over the admin JSON decoders.
+# short fuzz smoke over the admin JSON decoders and over the httpwire head
+# scanner, each input held against the reference parser.
 chaos-elastic:
 	go test -race -run 'TestElasticityDrill|TestAdmin|TestServeAdmin' \
 		./internal/cluster/ ./internal/dispatch/
 	go test -run '^$$' -fuzz FuzzAdminDecoders -fuzztime 10s ./internal/dispatch/
+	go test -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
+	go test -run '^$$' -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 
 # Front-end tier scale trajectory: one steady-state tier-wide scheduling
 # cycle (128 subscribers over 32 rendezvous-partitioned groups) at 1, 2 and

@@ -157,7 +157,8 @@ func (s *Server) Report() core.UsageReport {
 
 // handle serves the requests of one connection until the peer stops asking
 // for persistence, hangs up, stalls past the idle timeout, or the server
-// closes.
+// closes. The connection owns one request, one response and one write
+// scratch, reused for every request it carries.
 func (s *Server) handle(conn net.Conn) {
 	s.connMu.Lock()
 	s.conns[conn] = struct{}{}
@@ -169,6 +170,8 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
+	var req httpwire.Request
+	page := page{resp: httpwire.Response{StatusCode: 200, Header: make(map[string]string)}}
 	for {
 		// Misbehaving peers must not pin the handler forever; the deadline
 		// renews per request. Deadline errors surface through the read below.
@@ -178,41 +181,67 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		default:
 		}
-		req, err := httpwire.ReadRequest(br)
-		if err != nil {
+		if err := req.Read(br); err != nil {
 			// Only bytes that do not parse earn an answer. A peer hanging up
 			// between requests is the normal end of a persistent connection,
 			// and an idle timeout or Close unparking the reader must not
 			// leave a 400 behind for the peer to mistake for its next reply.
-			if errors.Is(err, httpwire.ErrMalformedRequest) || errors.Is(err, httpwire.ErrBodyTooLarge) {
+			if errors.Is(err, httpwire.ErrMalformedRequest) || errors.Is(err, httpwire.ErrBodyTooLarge) ||
+				errors.Is(err, httpwire.ErrHeadTooLarge) {
 				writeError(conn, 400)
 			}
 			return
 		}
-		if !s.serve(conn, req) {
+		if !s.serve(conn, &req, &page) {
 			return
 		}
 	}
 }
 
+// page is a connection's response and the scratch it is rendered and
+// written from.
+type page struct {
+	resp httpwire.Response
+	buf  []byte
+}
+
 // serve answers one request; it reports whether the connection stays open
 // for another.
-func (s *Server) serve(conn net.Conn, req *httpwire.Request) bool {
+func (s *Server) serve(conn net.Conn, req *httpwire.Request, p *page) bool {
 	if req.Path() == ReportPath {
 		s.serveReport(conn)
 		return false
 	}
-	resp, cost := s.render(req)
+	size := pageSize(req.Path())
+	cost := s.cfg.Costs.Cost(int64(size))
+	p.buf = strconv.AppendInt(p.buf[:0], cost.CPUTime.Nanoseconds(), 10)
+	p.buf = append(p.buf, ',')
+	p.buf = strconv.AppendInt(p.buf, cost.DiskTime.Nanoseconds(), 10)
+	p.buf = append(p.buf, ',')
+	p.buf = strconv.AppendInt(p.buf, cost.NetBytes, 10)
+	h := p.resp.Header
+	clear(h)
+	h["Content-Type"] = "text/html"
+	h[UsageHeader] = string(p.buf)
 	// Echo the trace ID so the front end (and any log scraper watching the
 	// backend side) can attribute the exchange to its end-to-end trace.
 	if tid := req.Header[obs.TraceHeader]; tid != "" {
-		resp.Header[obs.TraceHeader] = tid
+		h[obs.TraceHeader] = tid
 	}
 	// Persistence is agreed per hop: the echo tells the peer this connection
 	// takes another request; without it the peer must assume one-shot.
 	keep := req.KeepAlive()
 	if keep {
-		resp.Header["Connection"] = "keep-alive"
+		h["Connection"] = "keep-alive"
+	}
+	// The synthetic page is rendered behind the head, straight into the
+	// bytes that go on the wire.
+	p.buf = p.resp.AppendHead(p.buf[:0], int64(size))
+	p.buf = append(p.buf, "\r\n"...)
+	p.buf = append(p.buf, make([]byte, size)...) // grows in place: no temporary
+	body := p.buf[len(p.buf)-size:]
+	for i := range body {
+		body[i] = 'a' + byte(i%26)
 	}
 	if s.cfg.Delay > 0 {
 		time.Sleep(time.Duration(float64(cost.CPUTime+cost.DiskTime) * s.cfg.Delay))
@@ -221,28 +250,17 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request) bool {
 	// write finds the client still there — and before it, so that a peer
 	// holding the response finds the charge in the next report.
 	s.charge(req, cost)
-	return resp.Write(conn) == nil && keep
+	_, err := conn.Write(p.buf)
+	if cap(p.buf) > maxScratch {
+		p.buf = nil
+	}
+	return err == nil && keep
 }
 
-// render builds the synthetic page and its modeled cost.
-func (s *Server) render(req *httpwire.Request) (*httpwire.Response, qos.Vector) {
-	size := pageSize(req.Path())
-	body := make([]byte, size)
-	for i := range body {
-		body[i] = 'a' + byte(i%26)
-	}
-	cost := s.cfg.Costs.Cost(int64(size))
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header: map[string]string{
-			"Content-Type": "text/html",
-			UsageHeader: fmt.Sprintf("%d,%d,%d",
-				cost.CPUTime.Nanoseconds(), cost.DiskTime.Nanoseconds(), cost.NetBytes),
-		},
-		Body: body,
-	}
-	return resp, cost
-}
+// maxScratch is the largest write scratch a connection keeps between
+// requests; one multi-megabyte page must not pin its size until the
+// connection closes.
+const maxScratch = 64 << 10
 
 // charge attributes the request's usage to its subscriber's process tree.
 func (s *Server) charge(req *httpwire.Request, cost qos.Vector) {

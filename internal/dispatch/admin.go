@@ -628,8 +628,8 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 			defer s.connWG.Done()
 			defer s.untrackAdminConn(conn)
 			defer conn.Close()
-			br := getReader(conn)
-			defer putReader(br)
+			w := getWire(conn)
+			defer putWire(w)
 			for {
 				// A draining server reads no further admin requests either —
 				// a mutation mid-shutdown would race the teardown.
@@ -639,8 +639,8 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 				default:
 				}
 				_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ClientIdleTimeout))
-				req, err := httpwire.ReadRequest(br)
-				if err != nil {
+				req := &w.req
+				if err := req.Read(w.br); err != nil {
 					return
 				}
 				switch {

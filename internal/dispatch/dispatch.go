@@ -7,9 +7,14 @@
 // It plays the RDN's role over real sockets. The first-leg handshake and
 // URL read happen here; the second leg is a persistent connection to the
 // chosen backend, taken from that node's idle pool or dialled when the pool
-// is empty, and the response is relayed to the client — application-level
-// splicing, the deployable stand-in for the kernel-level packet remapping
-// that internal/splice models packet by packet.
+// is empty. After dispatch the front end touches only heads, as the paper's
+// RDN touches only headers (§3.3): each message is parsed once, into
+// messages the connection handler owns and reuses, the response head is
+// edited and written from the handler's scratch together with whatever body
+// the backend reader already holds, and the rest of the body is passed on
+// through that same scratch as it arrives, never held whole —
+// application-level splicing, the deployable stand-in for the kernel-level
+// packet remapping that internal/splice models packet by packet.
 package dispatch
 
 import (
@@ -82,8 +87,9 @@ type Config struct {
 	// ClientIdleTimeout bounds each request's client-side read/write on a
 	// persistent connection (default 60 s).
 	ClientIdleTimeout time.Duration
-	// BackendTimeout bounds the whole backend exchange of one relay
-	// (default 60 s).
+	// BackendTimeout bounds how long a backend may keep a relay waiting: the
+	// request write and the response head together, then each further read
+	// of the body (default 60 s).
 	BackendTimeout time.Duration
 	// Breaker tunes the per-backend circuit breakers (defaults apply; see
 	// package breaker).
@@ -408,8 +414,12 @@ type pendingConn struct {
 	// id is the scheduler request ID, the key for cancel/release.
 	id   uint64
 	conn net.Conn
-	req  *httpwire.Request
-	sub  qos.SubscriberID
+	// w is the serving goroutine's wire: w.req is the request to relay.
+	// Only that goroutine may touch it; method, target and host are copies
+	// for the migration sweep, which runs on Close's.
+	w                    *wire
+	method, target, host string
+	sub                  qos.SubscriberID
 	// group is the subscriber's tenant group, the fencing unit.
 	group string
 	// node receives the dispatch decision (buffered; sent only after a
@@ -907,9 +917,9 @@ func (s *Server) pollReport(id core.NodeID, addr string, reuse map[qos.Subscribe
 	if err := req.Write(conn); err != nil {
 		return core.UsageReport{}, err
 	}
-	br := getReader(conn)
-	resp, err := httpwire.ReadResponse(br)
-	putReader(br)
+	w := getWire(conn)
+	resp, err := httpwire.ReadResponse(w.br)
+	putWire(w)
 	if err != nil {
 		return core.UsageReport{}, err
 	}
@@ -950,19 +960,44 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// readerPool recycles bufio readers for the relay and accounting-poll paths;
-// both fully materialize what they parse before the reader is released.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
-
-func getReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
+// wire is what a connection handler owns for as long as it serves its
+// connection: the buffered reader, the messages it parses from it, and the
+// scratch every write on the request path is composed in. A client handler
+// uses br, req and buf; the backend leg of a relay uses br and resp. Wires
+// are pooled, so a one-request connection inherits its predecessor's reader,
+// header maps and scratch, and a parse costs it the head string alone.
+type wire struct {
+	br   *bufio.Reader
+	req  httpwire.Request
+	resp httpwire.Response
+	buf  []byte
 }
 
-func putReader(br *bufio.Reader) {
-	br.Reset(nil) // drop the connection reference
-	readerPool.Put(br)
+// maxScratch is the largest write scratch a pooled wire keeps; a relayed
+// request body can grow one far past what the next owner will need.
+const maxScratch = 16 << 10
+
+var wirePool = sync.Pool{New: func() any { return &wire{br: bufio.NewReaderSize(nil, 4096)} }}
+
+func getWire(r io.Reader) *wire {
+	w := wirePool.Get().(*wire)
+	w.br.Reset(r)
+	return w
+}
+
+// putWire releases w. Its messages are the next owner's to overwrite, so
+// nothing may still be reading them; they are emptied here so that an idle
+// wire keeps the header maps but not the heads their strings were cut from.
+func putWire(w *wire) {
+	w.br.Reset(nil) // drop the connection reference
+	clear(w.req.Header)
+	clear(w.resp.Header)
+	w.req = httpwire.Request{Header: w.req.Header}
+	w.resp = httpwire.Response{Header: w.resp.Header}
+	if cap(w.buf) > maxScratch {
+		w.buf = nil
+	}
+	wirePool.Put(w)
 }
 
 // handle serves one client connection. HTTP/1.1 connections are persistent
@@ -972,8 +1007,8 @@ func putReader(br *bufio.Reader) {
 // spliced connection.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	br := getReader(conn)
-	defer putReader(br)
+	w := getWire(conn)
+	defer putWire(w)
 	for {
 		// A draining server reads no further requests, even on persistent
 		// connections.
@@ -985,8 +1020,7 @@ func (s *Server) handle(conn net.Conn) {
 		// Stuck clients must not pin handler goroutines forever; the
 		// deadline renews per request on persistent connections.
 		_ = conn.SetDeadline(time.Now().Add(s.cfg.ClientIdleTimeout))
-		req, err := httpwire.ReadRequest(br)
-		if err != nil {
+		if err := w.req.Read(w.br); err != nil {
 			select {
 			case <-s.drainCh:
 				// Close zapped the read deadline to unpark this idle
@@ -994,6 +1028,8 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			default:
 			}
+			// A head past httpwire.MaxHeadBytes and a Transfer-Encoding the
+			// relay cannot frame are refused like any other malformed head.
 			if err != io.EOF {
 				s.respondError(conn, 400)
 			}
@@ -1001,16 +1037,17 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		// The client's own wish, read before the relay rewrites Connection
 		// for the backend leg.
-		keep := req.KeepAlive()
-		if !s.serveOne(conn, req) || !keep {
+		keep := w.req.KeepAlive()
+		if !s.serveOne(conn, w) || !keep {
 			return
 		}
 	}
 }
 
-// serveOne processes a single parsed request on the connection; it reports
-// whether the connection is still usable for another request.
-func (s *Server) serveOne(conn net.Conn, req *httpwire.Request) bool {
+// serveOne processes the request parsed into w.req; it reports whether the
+// connection is still usable for another request.
+func (s *Server) serveOne(conn net.Conn, w *wire) bool {
+	req := &w.req
 	switch req.Path() {
 	case StatsPath:
 		s.serveStats(conn)
@@ -1084,15 +1121,18 @@ func (s *Server) serveOne(conn net.Conn, req *httpwire.Request) bool {
 	}
 	defer s.admission.release(sub)
 	pc := &pendingConn{
-		id:    id,
-		conn:  conn,
-		req:   req,
-		sub:   sub,
-		group: group,
-		node:  make(chan core.NodeID, 1),
-		start: start,
-		trace: tr,
-		tid:   tid,
+		id:     id,
+		conn:   conn,
+		w:      w,
+		method: req.Method,
+		target: req.Target,
+		host:   req.Host,
+		sub:    sub,
+		group:  group,
+		node:   make(chan core.NodeID, 1),
+		start:  start,
+		trace:  tr,
+		tid:    tid,
 	}
 	err := s.sched.Enqueue(core.Request{
 		ID:         pc.id,
@@ -1181,7 +1221,7 @@ func (s *Server) abandon(pc *pendingConn) {
 	s.sched.CancelQueued(pc.sub, pc.id)
 }
 
-// relay forwards the request to the chosen backend and the parsed response
+// relay forwards the request to the chosen backend and the backend's reply
 // to the client — the application-level splice. A backend that cannot be
 // sent the request (its breaker refuses the relay, the dial fails, or the
 // request write breaks off) gets one retry: the charge is re-dispatched
@@ -1189,7 +1229,9 @@ func (s *Server) abandon(pc *pendingConn) {
 // node dying between dispatch and dial degrades to extra latency instead of
 // a 502. A stale pooled connection is not such a failure (see exchange). The
 // backoff and the whole path select on stopCh so Close never blocks on a
-// sleeping retry. It reports whether the client connection remains usable.
+// sleeping retry. Until exchange hands back a reply the client has seen
+// nothing, so every failure up to there is a clean 502; from there forward
+// takes over. It reports whether the client connection remains usable.
 func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	tr := pc.trace
 	if s.cfg.Fence != nil && !s.cfg.Fence(pc.group) {
@@ -1208,7 +1250,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	}
 	tr.Add(telemetry.StageRelay, int64(node), "")
 	attempt := time.Now()
-	resp, sent, err := s.exchange(pc, node)
+	rep, sent, err := s.exchange(pc, node)
 	if err != nil && !sent {
 		alt, ok := s.sched.Redispatch(pc.sub, pc.id, node)
 		if !ok {
@@ -1241,7 +1283,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		// The relay latency histogram measures the exchange against the
 		// node that actually served; restart the clock for the alternate.
 		attempt = time.Now()
-		resp, sent, err = s.exchange(pc, alt)
+		rep, sent, err = s.exchange(pc, alt)
 		if err != nil && !sent {
 			// The retry hop is already in the trace; exactly one terminal
 			// outcome settles it here.
@@ -1259,22 +1301,24 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		s.respondError(pc.conn, 502)
 		return true
 	}
-	if h := s.top().relayLat[node]; h != nil {
-		h.Record(time.Since(attempt))
-	}
-	// The backend's Connection header spoke for its own leg; the client's
-	// persistence is the client's to choose.
-	delete(resp.Header, "Connection")
-	if err := resp.Write(pc.conn); err != nil {
-		tr.Settle(telemetry.OutcomeClientGone)
+	outcome := s.forward(pc, node, rep)
+	tr.Settle(outcome)
+	if outcome != telemetry.OutcomeServed {
+		// The client may hold part of the response, so there is nothing
+		// left to say to it — a second status line would be read as body.
+		// Its connection is torn instead.
 		s.errs.Add(1)
 		return false
+	}
+	// Both latencies end where the client's wait does: with the last body
+	// byte forwarded.
+	if h := s.top().relayLat[node]; h != nil {
+		h.Record(time.Since(attempt))
 	}
 	s.served.Add(1)
 	if h := s.top().reqLat[pc.sub]; h != nil {
 		h.Record(time.Since(pc.start))
 	}
-	tr.Settle(telemetry.OutcomeServed)
 	return true
 }
 

@@ -85,9 +85,9 @@ func (s *Server) handoffMigrating() {
 				ID:         pc.id,
 				Subscriber: pc.sub,
 				Group:      g,
-				Method:     pc.req.Method,
-				Target:     pc.req.Target,
-				Host:       pc.req.Host,
+				Method:     pc.method,
+				Target:     pc.target,
+				Host:       pc.host,
 			})
 			s.migMu.Unlock()
 			s.handedOff.Add(1)

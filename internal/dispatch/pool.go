@@ -12,8 +12,8 @@ import (
 	"gage/internal/backend"
 	"gage/internal/breaker"
 	"gage/internal/core"
-	"gage/internal/httpwire"
 	"gage/internal/obs"
+	"gage/internal/telemetry"
 )
 
 // backendIdleExpiry is how long a pooled backend connection may sit idle
@@ -111,8 +111,22 @@ const (
 // publishes the topology.
 var errUnknownNode = errors.New("dispatch: node not in topology")
 
-// exchange sends the request to a node and reads the whole response, on an
+// reply is a backend response as exchange hands it to forward: the head is
+// parsed into w.resp, w.br holds as much of the body as arrived with it, and
+// the rest is still to come on c.
+type reply struct {
+	c net.Conn
+	w *wire
+	// n is the body length.
+	n int64
+	// keep: the backend agreed to another exchange on c.
+	keep bool
+}
+
+// exchange sends the request to a node and reads the response head, on an
 // idle pooled connection when the node has one and on a fresh dial otherwise.
+// It returns with the head parsed and the backend reader filled as far as the
+// body goes; forward sends both on and settles the connection.
 //
 // A pooled connection that fails before the first response byte is stale
 // (the backend closed it while it idled): it is discarded and the exchange
@@ -122,30 +136,33 @@ var errUnknownNode = errors.New("dispatch: node not in topology")
 // refused, undialled or partially written request (sent false) is safe to
 // re-aim at an alternate — the client has seen nothing — while a failure
 // after the request went out is final.
-//
-// After a complete exchange the connection goes back to the pool if the
-// backend's response agreed to keep it open, and is closed otherwise.
-func (s *Server) exchange(pc *pendingConn, node core.NodeID) (resp *httpwire.Response, sent bool, err error) {
+func (s *Server) exchange(pc *pendingConn, node core.NodeID) (rep reply, sent bool, err error) {
 	if !s.breakerAllow(node) {
-		return nil, false, errBreakerRefused
+		return reply{}, false, errBreakerRefused
 	}
 	t := s.top()
 	pool := t.pools[node]
 	if pool == nil {
-		return nil, false, errUnknownNode
+		return reply{}, false, errUnknownNode
 	}
 	// Tag the request with its charging entity for backend accounting, and
 	// with its trace ID so the backend can echo it back for attribution.
 	// Connection is hop-by-hop: on this leg it is the dispatcher, not the
-	// client, that asks for persistence.
-	if pc.req.Header == nil {
-		pc.req.Header = make(map[string]string)
-	}
-	pc.req.Header[backend.SubscriberHeader] = string(pc.sub)
+	// client, that asks for persistence. The trace line is composed straight
+	// into the scratch — as a header value it would cost a string.
+	w := pc.w
+	h := w.req.Header
+	h[backend.SubscriberHeader] = string(pc.sub)
+	h["Connection"] = "keep-alive"
+	delete(h, obs.TraceHeader)
+	w.buf = w.req.AppendHead(w.buf[:0])
 	if pc.tid != 0 {
-		pc.req.Header[obs.TraceHeader] = pc.tid.String()
+		w.buf = append(w.buf, obs.TraceHeader+": "...)
+		w.buf = pc.tid.Append(w.buf)
+		w.buf = append(w.buf, "\r\n"...)
 	}
-	pc.req.Header["Connection"] = "keep-alive"
+	w.buf = append(w.buf, "\r\n"...)
+	w.buf = append(w.buf, w.req.Body...)
 
 	c := pool.take()
 	for reused := c != nil; ; reused = false {
@@ -156,54 +173,124 @@ func (s *Server) exchange(pc *pendingConn, node core.NodeID) (resp *httpwire.Res
 			c, err = s.cfg.Dial("tcp", t.addrs[node], s.cfg.DialTimeout)
 			if err != nil {
 				s.noteBreaker(node, breaker.Relay, false)
-				return nil, false, err
+				return reply{}, false, err
 			}
 			s.trackBackend(c)
 		}
-		resp, keep, got, err := s.attempt(pc, c)
+		rep, got, err := s.attempt(w.buf, c)
 		if err == nil {
-			// Only a complete exchange counts as relay success: a backend
-			// that accepts TCP but fails every request must still trip its
-			// breaker, so success is noted here rather than at dial time.
-			s.noteBreaker(node, breaker.Relay, true)
-			// A draining node gets no further dispatches; a release racing
-			// the drain's flush is caught by the idle expiry instead.
-			if keep && !s.top().draining[node] {
-				pool.put(c, time.Now())
-			} else {
-				s.closeBackend(c)
-			}
-			return resp, true, nil
+			return rep, true, nil
 		}
 		s.closeBackend(c)
 		if reused && got != partialReply && !errors.Is(err, os.ErrDeadlineExceeded) {
 			continue
 		}
 		s.noteBreaker(node, breaker.Relay, false)
-		return nil, got != notSent, err
+		return reply{}, got != notSent, err
 	}
 }
 
-// attempt runs one request/response exchange on c, bounded by
-// BackendTimeout. keep reports whether c can carry another exchange: the
-// backend echoed the keep-alive and left nothing unread behind the response.
-func (s *Server) attempt(pc *pendingConn, c net.Conn) (resp *httpwire.Response, keep bool, got progress, err error) {
+// attempt writes the composed request on c and reads the response head,
+// bounded by BackendTimeout; forward renews the bound for each further read
+// of the body. Usage accounting arrives separately via the periodic report
+// poll.
+func (s *Server) attempt(request []byte, c net.Conn) (rep reply, got progress, err error) {
 	_ = c.SetDeadline(time.Now().Add(s.cfg.BackendTimeout))
-	if err := pc.req.Write(c); err != nil {
-		return nil, false, notSent, err
+	if _, err := c.Write(request); err != nil {
+		return reply{}, notSent, err
 	}
-	// Parse the response so the client connection's framing survives for
-	// the next request; usage accounting arrives separately via the
-	// periodic report poll.
-	rbr := getReader(c)
-	defer putReader(rbr)
-	if _, err := rbr.Peek(1); err != nil {
-		return nil, false, noReply, err
+	w := getWire(c)
+	if _, err := w.br.Peek(1); err != nil {
+		putWire(w)
+		return reply{}, noReply, err
 	}
-	resp, err = httpwire.ReadResponse(rbr)
+	n, err := w.resp.ReadHead(w.br)
+	if err == nil {
+		// Fill the reader as far as the body goes before the client sees a
+		// byte: a response that fits the buffer is then whole or a 502, as
+		// it was when the relay read every response to its end.
+		_, err = w.br.Peek(int(min(n, int64(w.br.Size()))))
+	}
 	if err != nil {
-		return nil, false, partialReply, err
+		putWire(w)
+		return reply{}, partialReply, err
 	}
-	keep = strings.EqualFold(resp.Header["Connection"], "keep-alive") && rbr.Buffered() == 0
-	return resp, keep, 0, nil
+	keep := strings.EqualFold(w.resp.Header["Connection"], "keep-alive")
+	return reply{c: c, w: w, n: n, keep: keep}, 0, nil
+}
+
+// forward sends a reply on to the client and settles the backend connection.
+// The edited head and the body bytes the backend reader holds go out in one
+// client write; a longer body's remainder is read off the backend connection
+// and written to the client's through the same scratch, so the call that
+// fails names the leg that failed. A response the reader holds whole releases
+// its backend connection before the client write, so a slow client never
+// keeps a backend connection out of the pool. The outcome is served when the
+// client has the whole response; otherwise it is error for a backend that
+// broke off, went quiet for BackendTimeout or closed short of the body, and
+// client-gone for a client write that failed.
+func (s *Server) forward(pc *pendingConn, node core.NodeID, rep reply) telemetry.Outcome {
+	defer putWire(rep.w)
+	// The backend's Connection header spoke for its own leg; the client's
+	// persistence is the client's to choose.
+	delete(rep.w.resp.Header, "Connection")
+	w := pc.w
+	w.buf = rep.w.resp.AppendHead(w.buf[:0], rep.n)
+	w.buf = append(w.buf, "\r\n"...)
+	held, _ := rep.w.br.Peek(int(min(rep.n, int64(rep.w.br.Buffered()))))
+	w.buf = append(w.buf, held...)
+	_, _ = rep.w.br.Discard(len(held)) // buffered bytes: cannot fail
+	left := rep.n - int64(len(held))
+	whole := left == 0
+	if whole {
+		s.settle(node, rep, true, true)
+	}
+	outcome := telemetry.OutcomeServed
+	if _, err := pc.conn.Write(w.buf); err != nil {
+		outcome = telemetry.OutcomeClientGone
+	}
+	// held emptied the reader, so the remainder comes straight off rep.c.
+	// The time a slow client takes is not the backend's: each read gets a
+	// BackendTimeout of its own.
+	chunk := w.buf[:cap(w.buf)]
+	for left > 0 && outcome == telemetry.OutcomeServed {
+		_ = rep.c.SetReadDeadline(time.Now().Add(s.cfg.BackendTimeout))
+		n, err := rep.c.Read(chunk[:min(left, int64(len(chunk)))])
+		left -= int64(n)
+		if n > 0 {
+			if _, werr := pc.conn.Write(chunk[:n]); werr != nil {
+				outcome = telemetry.OutcomeClientGone
+				break
+			}
+		}
+		if err != nil && left > 0 {
+			outcome = telemetry.OutcomeError
+		}
+	}
+	if !whole {
+		s.settle(node, rep, left == 0, outcome != telemetry.OutcomeError)
+	}
+	return outcome
+}
+
+// settle ends an exchange: its outcome is noted on the node's breaker and the
+// connection parked or closed. The breaker hears of an exchange once, here,
+// when the body's fate is known — success at dial time or at the head would
+// let a backend that accepts TCP and then fails every request keep a clean
+// record. backendOK is false only for a backend that broke off mid-body; a
+// client that left mid-body is no failure of the backend's, and noting the
+// exchange a success also resolves a half-open trial it may have been. The
+// connection goes back to the node's pool if the whole body was taken off it
+// (drained), the backend agreed to keep it open, nothing unread trails the
+// response, and the node is still in the topology and not draining — a
+// draining node gets no further dispatches; a release racing the drain's
+// flush is caught by the idle expiry instead.
+func (s *Server) settle(node core.NodeID, rep reply, drained, backendOK bool) {
+	s.noteBreaker(node, breaker.Relay, backendOK)
+	t := s.top()
+	if pool := t.pools[node]; pool != nil && drained && rep.keep && rep.w.br.Buffered() == 0 && !t.draining[node] {
+		pool.put(rep.c, time.Now())
+	} else {
+		s.closeBackend(rep.c)
+	}
 }

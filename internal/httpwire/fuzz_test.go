@@ -2,16 +2,14 @@ package httpwire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// FuzzReadRequest hunts for parser panics and round-trip breakage: any input
-// must either fail cleanly or parse into a request that survives
-// Write→ReadRequest with its routing-relevant fields (method, target, proto,
-// host, path, body) intact — the dispatcher classifies and relays off these,
-// so a lossy round trip would silently misroute.
-func FuzzReadRequest(f *testing.F) {
-	seeds := [][]byte{
+// requestSeeds is FuzzReadRequest's corpus, which the differential table test
+// walks too.
+func requestSeeds() [][]byte {
+	return [][]byte{
 		[]byte("GET / HTTP/1.0\r\n\r\n"),
 		[]byte("GET /index.html HTTP/1.1\r\nHost: www.site1.example\r\n\r\n"),
 		[]byte("GET http://site.example/a/b HTTP/1.1\r\n\r\n"),
@@ -39,11 +37,30 @@ func FuzzReadRequest(f *testing.F) {
 		[]byte("GET /a\rb HTTP/1.1\r\n\r\n"),
 		[]byte("\r\n\r\n"),
 		{},
+		// Past the corpus the line-by-line parser shipped with: line endings
+		// the scanner must count the same way, and a second message behind
+		// the first.
+		[]byte("GET / HTTP/1.1\r\r\nHost: cr.example\r\n\r\r\n"),
+		[]byte("GET / HTTP/1.1\r\nHost: a\r\n\r\nGET /next HTTP/1.1\r\n\r\n"),
+		[]byte("POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /next HTTP/1.1\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nX-Long: " + strings.Repeat("v", 9000) + "\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\n\r"),
 	}
-	for _, s := range seeds {
+}
+
+// FuzzReadRequest hunts for parser panics, for any difference from the
+// reference parser, and for round-trip breakage: any input must either fail
+// cleanly or parse into a request that survives Write→ReadRequest with its
+// routing-relevant fields (method, target, proto, host, path, body) intact —
+// the dispatcher classifies and relays off these, so a lossy round trip
+// would silently misroute.
+func FuzzReadRequest(f *testing.F) {
+	for _, s := range requestSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		diffRequest(t, data)
 		req, err := ParseRequest(data)
 		if err != nil {
 			return // rejected cleanly
@@ -71,4 +88,46 @@ func FuzzReadRequest(f *testing.F) {
 			t.Fatalf("body changed: %q -> %q", req.Body, got.Body)
 		}
 	})
+}
+
+// responseSeeds is FuzzReadResponse's corpus.
+func responseSeeds() [][]byte {
+	return [][]byte{
+		[]byte("HTTP/1.0 200 OK\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"),
+		[]byte("HTTP/1.1 404 Not Found\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\nHTTP/1.1 200 OK\r\n\r\n"),
+		[]byte("HTTP/1.0 200\r\n\r\n"),
+		[]byte("HTTP/1.0 200 \r\n\r\n"),
+		[]byte("HTTP/1.0 \r\n\r\n"),
+		[]byte("HTTP/1.0 +200 Signed\r\n\r\n"),
+		[]byte("HTTP/1.0 -12 Negative\r\n\r\n"),
+		[]byte("HTTP/1.0 99999999999999999999 Big\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK two  spaces\r\n\r\n"),
+		[]byte("BANANA\r\n\r\n"),
+		[]byte("BANANA 200 OK\r\n\r\n"),
+		[]byte("HTTP/1.0 abc OK\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nbroken\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nContent-Length: x\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nContent-Length: -1\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nContent-Length: 17000000\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nContent-Length: 10\r\n\r\nshort"),
+		[]byte("HTTP/1.0 200 OK\r\ncontent-length: 2\r\nCONTENT-LENGTH: 3\r\n\r\nabcdef"),
+		[]byte("HTTP/1.0 200 OK\nX-Lf: 1\n\nrest"),
+		[]byte("HTTP/1.0 200 OK\r\nX-Truncated: 1"),
+		[]byte("HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"),
+		[]byte("HTTP/1.0 200 OK\r\nX-Long: " + strings.Repeat("v", 9000) + "\r\nContent-Length: 1\r\n\r\nx"),
+		[]byte("HTTP/1.0"),
+		[]byte("\n"),
+		{},
+	}
+}
+
+// FuzzReadResponse holds the response side of the scanner to the reference
+// parser on arbitrary bytes: the backend is inside the trust boundary, but a
+// misparse there mis-frames a pooled connection for every request after it.
+func FuzzReadResponse(f *testing.F) {
+	for _, s := range responseSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { diffResponse(t, data) })
 }

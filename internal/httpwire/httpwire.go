@@ -1,9 +1,23 @@
 // Package httpwire implements the minimal HTTP/1.x wire subset Gage needs:
-// parsing a request head (request line + headers + optional Content-Length
-// body) to extract the Host and path for classification, and writing
-// well-formed requests and responses. It is intentionally small — the
-// dispatcher only routes bytes; origin-server semantics live in the
-// backends.
+// parsing a message head (start line + headers, with a Content-Length body)
+// to extract the Host and path for classification, and writing well-formed
+// requests and responses. It is intentionally small — the dispatcher only
+// routes bytes; origin-server semantics live in the backends.
+//
+// A head is scanned in place: its end is located in the bufio.Reader's own
+// buffer, the head is copied out once as a single string, and the start-line
+// fields and every header are cut from that string as substrings. A message
+// that is read again — (*Request).Read, (*Response).ReadHead — refills its
+// existing Header map, so a relay that owns one message per connection pays
+// one allocation per parse. The lifetime rule that buys this: a reused
+// message's fields and Header are valid until the next read on it. The
+// strings cut from it are ordinary immutable strings and may be kept.
+// ReadRequest, ReadResponse and ParseRequest run the same scanner into a
+// fresh message for callers that keep what they parse.
+//
+// Only Content-Length framing is understood. A message that declares a
+// Transfer-Encoding is refused as malformed rather than parsed as body-less
+// with its chunks left in the reader for the next message to trip over.
 package httpwire
 
 import (
@@ -23,12 +37,18 @@ var (
 	ErrMalformedRequest = errors.New("httpwire: malformed request")
 	// ErrMalformedResponse reports an unparseable response head.
 	ErrMalformedResponse = errors.New("httpwire: malformed response")
-	// ErrBodyTooLarge reports a Content-Length beyond the configured cap.
+	// ErrBodyTooLarge reports a Content-Length beyond MaxBodyBytes.
 	ErrBodyTooLarge = errors.New("httpwire: body too large")
+	// ErrHeadTooLarge reports a head that does not end within MaxHeadBytes.
+	ErrHeadTooLarge = errors.New("httpwire: head too large")
 )
 
 // MaxBodyBytes caps bodies read into memory.
 const MaxBodyBytes = 16 << 20
+
+// MaxHeadBytes caps a message head, blank line included: a peer that never
+// ends its head costs the reader at most this much memory.
+const MaxHeadBytes = 64 << 10
 
 // Request is a parsed HTTP request.
 type Request struct {
@@ -66,55 +86,59 @@ func (r *Request) KeepAlive() bool {
 	return strings.EqualFold(c, "keep-alive")
 }
 
-// ReadRequest parses one request (head and Content-Length body) from r.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	line, err := readLine(r)
-	if err != nil {
+// ReadRequest parses one request (head and Content-Length body) from br into
+// a fresh Request.
+func ReadRequest(br *bufio.Reader) (*Request, error) {
+	req := new(Request)
+	if err := req.Read(br); err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformedRequest, line)
-	}
-	req := &Request{
-		Method: parts[0],
-		Target: parts[1],
-		Proto:  parts[2],
-		Header: make(map[string]string),
-	}
-	if !strings.HasPrefix(req.Proto, "HTTP/") {
-		return nil, fmt.Errorf("%w: protocol %q", ErrMalformedRequest, req.Proto)
-	}
-	if err := readHeaders(r, req.Header); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedRequest, err)
-	}
-	req.Host = hostOf(req.Target, req.Header)
-	body, err := readBody(r, req.Header)
-	if err != nil {
-		return nil, err
-	}
-	req.Body = body
 	return req, nil
+}
+
+// Read parses one request (head and Content-Length body) from br into r,
+// replacing what r held and reusing its Header map.
+func (r *Request) Read(br *bufio.Reader) error {
+	head, err := readHead(br, ErrMalformedRequest)
+	if err != nil {
+		return err
+	}
+	line, lines := cutLine(head)
+	method, rest, _ := strings.Cut(line, " ")
+	target, proto, ok := strings.Cut(rest, " ")
+	if !ok || method == "" || target == "" {
+		return fmt.Errorf("%w: request line %q", ErrMalformedRequest, line)
+	}
+	if !strings.HasPrefix(proto, "HTTP/") {
+		return fmt.Errorf("%w: protocol %q", ErrMalformedRequest, proto)
+	}
+	r.Method, r.Target, r.Proto = method, target, proto
+	var n int64
+	if r.Header, n, err = parseHeaders(lines, r.Header, ErrMalformedRequest); err != nil {
+		return err
+	}
+	r.Host = hostOf(target, r.Header)
+	r.Body, err = readBody(br, n)
+	return err
 }
 
 // ParseRequest parses a request from a byte slice (the splicer's URL-packet
 // payload). A request head that is complete but has a short body is still
 // an error: the splicer only dispatches whole requests.
 func ParseRequest(b []byte) (*Request, error) {
-	return ReadRequest(bufio.NewReader(bytes.NewReader(b)))
+	// A URL packet is a few hundred bytes: the reader is sized to it.
+	return ReadRequest(bufio.NewReaderSize(bytes.NewReader(b), min(len(b), 4096)))
 }
 
-// Write serializes the request, normalizing Host into a header.
-func (r *Request) Write(w io.Writer) error {
+// AppendHead appends the request line and the header lines — Host first, the
+// rest in sorted key order, Content-Length for r.Body last — without the
+// blank line that ends the head, so a relay can add header lines of its own
+// before it.
+func (r *Request) AppendHead(buf []byte) []byte {
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.0"
 	}
-	n := len(r.Method) + len(r.Target) + len(proto) + len("  \r\n")
-	if r.Host != "" {
-		n += len("Host: \r\n") + len(r.Host)
-	}
-	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
 	buf = append(buf, r.Method...)
 	buf = append(buf, ' ')
 	buf = append(buf, r.Target...)
@@ -124,7 +148,15 @@ func (r *Request) Write(w io.Writer) error {
 	if r.Host != "" {
 		buf = appendHeader(buf, "Host", r.Host)
 	}
-	buf = appendHeaders(buf, r.Header, len(r.Body), "Host")
+	return appendHeaders(buf, r.Header, int64(len(r.Body)), "Host")
+}
+
+// Write serializes the request, normalizing Host into a header.
+func (r *Request) Write(w io.Writer) error {
+	n := len(r.Method) + len(r.Target) + len(r.Proto) + len(r.Host)
+	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
+	buf = r.AppendHead(buf)
+	buf = append(buf, "\r\n"...)
 	buf = append(buf, r.Body...)
 	_, err := w.Write(buf)
 	return err
@@ -139,41 +171,49 @@ type Response struct {
 	Body       []byte
 }
 
-// ReadResponse parses one response from r.
-func ReadResponse(r *bufio.Reader) (*Response, error) {
-	line, err := readLine(r)
+// ReadResponse parses one response (head and Content-Length body) from br
+// into a fresh Response.
+func ReadResponse(br *bufio.Reader) (*Response, error) {
+	resp := new(Response)
+	n, err := resp.ReadHead(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformedResponse, line)
-	}
-	code, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformedResponse, parts[1])
-	}
-	resp := &Response{
-		Proto:      parts[0],
-		StatusCode: code,
-		Header:     make(map[string]string),
-	}
-	if len(parts) == 3 {
-		resp.Status = parts[2]
-	}
-	if err := readHeaders(r, resp.Header); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedResponse, err)
-	}
-	body, err := readBody(r, resp.Header)
-	if err != nil {
+	if resp.Body, err = readBody(br, n); err != nil {
 		return nil, err
 	}
-	resp.Body = body
 	return resp, nil
 }
 
-// Write serializes the response with a correct Content-Length.
-func (r *Response) Write(w io.Writer) error {
+// ReadHead parses one response head from br into r, replacing what r held
+// (Body included) and reusing its Header map. It returns the length of the
+// body that follows in br, which it leaves unread: a relay forwards those
+// bytes from the reader instead of copying them into the message.
+func (r *Response) ReadHead(br *bufio.Reader) (int64, error) {
+	head, err := readHead(br, ErrMalformedResponse)
+	if err != nil {
+		return 0, err
+	}
+	line, lines := cutLine(head)
+	proto, rest, ok := strings.Cut(line, " ")
+	if !ok || !strings.HasPrefix(proto, "HTTP/") {
+		return 0, fmt.Errorf("%w: status line %q", ErrMalformedResponse, line)
+	}
+	code, status, _ := strings.Cut(rest, " ")
+	r.StatusCode, err = strconv.Atoi(code)
+	if err != nil {
+		return 0, fmt.Errorf("%w: status code %q", ErrMalformedResponse, code)
+	}
+	r.Proto, r.Status, r.Body = proto, status, nil
+	var n int64
+	r.Header, n, err = parseHeaders(lines, r.Header, ErrMalformedResponse)
+	return n, err
+}
+
+// AppendHead appends the status line and the header lines — sorted key
+// order, then Content-Length for a body of bodyLen bytes — without the blank
+// line that ends the head.
+func (r *Response) AppendHead(buf []byte, bodyLen int64) []byte {
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.0"
@@ -182,15 +222,21 @@ func (r *Response) Write(w io.Writer) error {
 	if status == "" {
 		status = StatusText(r.StatusCode)
 	}
-	n := len(proto) + maxIntLen + len(status) + len("  \r\n")
-	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
 	buf = append(buf, proto...)
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(r.StatusCode), 10)
 	buf = append(buf, ' ')
 	buf = append(buf, status...)
 	buf = append(buf, "\r\n"...)
-	buf = appendHeaders(buf, r.Header, len(r.Body), "")
+	return appendHeaders(buf, r.Header, bodyLen, "")
+}
+
+// Write serializes the response with a correct Content-Length.
+func (r *Response) Write(w io.Writer) error {
+	n := len(r.Proto) + len(r.Status)
+	buf := make([]byte, 0, n+headersLen(r.Header)+len(r.Body))
+	buf = r.AppendHead(buf, int64(len(r.Body)))
+	buf = append(buf, "\r\n"...)
 	buf = append(buf, r.Body...)
 	_, err := w.Write(buf)
 	return err
@@ -216,57 +262,135 @@ func StatusText(code int) string {
 	}
 }
 
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
+// readHead consumes one message head from br — start line, header lines and
+// the blank line — and returns it as one string, the only allocation a parse
+// into a reused message makes. The head is searched where it already lies, in
+// br's buffer; only a head that outgrows the buffer accumulates on the side,
+// up to MaxHeadBytes. Nothing past the head is consumed. A line ends at LF,
+// any CRs before the LF belong to the line ending, and the head ends with the
+// first line that holds nothing else. A read error inside the start line is
+// returned as it is — io.EOF there is a peer hanging up between messages —
+// and one after it as a malformed head.
+func readHead(br *bufio.Reader, malformed error) (string, error) {
+	var (
+		spill []byte // the part of the head already taken out of br
+		seen  int    // bytes of br's buffered window already searched
+		lines int    // complete lines found
+		text  bool   // the line in progress holds a byte other than CR
+	)
+	for {
+		win, _ := br.Peek(br.Buffered())
+		for seen < len(win) {
+			nl := bytes.IndexByte(win[seen:], '\n')
+			if nl < 0 {
+				text = text || !onlyCR(win[seen:])
+				seen = len(win)
+				break
+			}
+			blank := !text && onlyCR(win[seen:seen+nl])
+			seen += nl + 1
+			lines++
+			text = false
+			if !blank {
+				continue
+			}
+			if len(spill)+seen > MaxHeadBytes {
+				return "", ErrHeadTooLarge
+			}
+			head := string(win[:seen])
+			if spill != nil {
+				head = string(append(spill, win[:seen]...))
+			}
+			_, _ = br.Discard(seen) // buffered bytes: cannot fail
+			return head, nil
+		}
+		if len(spill)+seen >= MaxHeadBytes {
+			return "", ErrHeadTooLarge
+		}
+		if seen == br.Size() {
+			spill = append(spill, win...)
+			_, _ = br.Discard(seen)
+			seen = 0
+		}
+		if _, err := br.Peek(seen + 1); err != nil {
+			if lines > 0 {
+				err = fmt.Errorf("%w: %v", malformed, err)
+			}
+			return "", err
+		}
 	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
-func readHeaders(r *bufio.Reader, into map[string]string) error {
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return err
+func onlyCR(b []byte) bool {
+	for _, c := range b {
+		if c != '\r' {
+			return false
 		}
+	}
+	return true
+}
+
+// cutLine splits s after its first line, dropping the line ending.
+func cutLine(s string) (line, rest string) {
+	line, rest, _ = strings.Cut(s, "\n")
+	return strings.TrimRight(line, "\r"), rest
+}
+
+// parseHeaders fills h (cleared first; allocated when nil) from the header
+// lines of a head and returns it with the body length they declare.
+func parseHeaders(lines string, h map[string]string, malformed error) (map[string]string, int64, error) {
+	if h == nil {
+		h = make(map[string]string)
+	} else {
+		clear(h)
+	}
+	for lines != "" {
+		var line string
+		line, lines = cutLine(lines)
 		if line == "" {
-			return nil
+			break
 		}
 		k, v, ok := strings.Cut(line, ":")
 		if !ok {
-			return fmt.Errorf("header line %q", line)
+			return h, 0, fmt.Errorf("%w: header line %q", malformed, line)
 		}
-		into[textproto.CanonicalMIMEHeaderKey(strings.TrimSpace(k))] = strings.TrimSpace(v)
+		h[textproto.CanonicalMIMEHeaderKey(strings.TrimSpace(k))] = strings.TrimSpace(v)
 	}
-}
-
-func readBody(r *bufio.Reader, header map[string]string) ([]byte, error) {
-	cl, ok := header["Content-Length"]
+	if _, ok := h["Transfer-Encoding"]; ok {
+		return h, 0, fmt.Errorf("%w: transfer-encoding is not supported", malformed)
+	}
+	cl, ok := h["Content-Length"]
 	if !ok {
-		return nil, nil
+		return h, 0, nil
 	}
 	n, err := strconv.ParseInt(cl, 10, 64)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: content-length %q", ErrMalformedRequest, cl)
+		return h, 0, fmt.Errorf("%w: content-length %q", malformed, cl)
 	}
+	return h, n, nil
+}
+
+// readBody reads a body of n bytes into memory.
+func readBody(br *bufio.Reader, n int64) ([]byte, error) {
 	if n > MaxBodyBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBodyTooLarge, n)
 	}
+	if n == 0 {
+		return nil, nil
+	}
 	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(br, body); err != nil {
 		return nil, fmt.Errorf("httpwire: short body: %w", err)
 	}
 	return body, nil
 }
 
-// maxIntLen is the longest decimal rendering of an int64, sign included.
-const maxIntLen = 20
-
-// headersLen bounds what appendHeaders appends for header: every line, a
-// Content-Length line and the blank line that ends the head.
+// headersLen bounds what a head needs beyond its start-line strings: every
+// header line, plus room for the start line's separators, a defaulted
+// protocol, a status code and defaulted reason phrase ("Status " and an
+// int64), the Host and Content-Length lines' fixed parts and the blank line.
 func headersLen(header map[string]string) int {
-	n := len("Content-Length: \r\n") + maxIntLen + len("\r\n")
+	n := 128
 	for k, v := range header {
 		n += len(k) + len(": \r\n") + len(v)
 	}
@@ -281,9 +405,9 @@ func appendHeader(buf []byte, k, v string) []byte {
 }
 
 // appendHeaders appends the header lines in sorted key order (skip and
-// Content-Length left out), the Content-Length line when there is a body or
-// the header names one, and the blank line.
-func appendHeaders(buf []byte, header map[string]string, bodyLen int, skip string) []byte {
+// Content-Length left out), then the Content-Length line when there is a body
+// or the header names one.
+func appendHeaders(buf []byte, header map[string]string, bodyLen int64, skip string) []byte {
 	// The usual handful of keys sorts in place on the stack.
 	var stack [16]string
 	keys := stack[:0]
@@ -304,10 +428,10 @@ func appendHeaders(buf []byte, header map[string]string, bodyLen int, skip strin
 	}
 	if bodyLen > 0 || header["Content-Length"] != "" {
 		buf = append(buf, "Content-Length: "...)
-		buf = strconv.AppendInt(buf, int64(bodyLen), 10)
+		buf = strconv.AppendInt(buf, bodyLen, 10)
 		buf = append(buf, "\r\n"...)
 	}
-	return append(buf, "\r\n"...)
+	return buf
 }
 
 func hostOf(target string, header map[string]string) string {

@@ -52,14 +52,25 @@ func (t TraceID) Req() uint64 { return uint64(t) & reqMask }
 // String renders the ID as fixed-width hex, the wire form used in the
 // X-Gage-Trace header, event logs and gagetrace output.
 func (t TraceID) String() string {
-	var buf [16]byte
+	hex := t.hex()
+	return string(hex[:])
+}
+
+// Append appends the String form to buf, for callers composing the header
+// line into a buffer of their own.
+func (t TraceID) Append(buf []byte) []byte {
+	hex := t.hex()
+	return append(buf, hex[:]...)
+}
+
+func (t TraceID) hex() (buf [16]byte) {
 	const hexdigits = "0123456789abcdef"
 	v := uint64(t)
 	for i := 15; i >= 0; i-- {
 		buf[i] = hexdigits[v&0xf]
 		v >>= 4
 	}
-	return string(buf[:])
+	return buf
 }
 
 // MarshalText renders the hex wire form (JSON encodes TraceID as a string).

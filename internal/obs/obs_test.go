@@ -265,3 +265,16 @@ func BenchmarkObsPublish(b *testing.B) {
 		bus.Publish(ev)
 	}
 }
+
+// Append is String without the string: same digits, and nothing allocated
+// when the buffer has room.
+func TestTraceIDAppend(t *testing.T) {
+	id := Mint(3, 0xabcdef012345)
+	if got := string(id.Append([]byte("X: "))); got != "X: "+id.String() {
+		t.Errorf("Append = %q, want the String form %q appended", got, id.String())
+	}
+	buf := make([]byte, 0, 32)
+	if n := testing.AllocsPerRun(100, func() { buf = id.Append(buf[:0]) }); n != 0 {
+		t.Errorf("Append into a buffer with room allocates %.0f times", n)
+	}
+}
