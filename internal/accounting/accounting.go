@@ -191,11 +191,21 @@ func (a *Accountant) Cycle() core.UsageReport {
 		Node:         a.node,
 		BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage),
 	}
+	a.foldLocked(&rep)
+	return rep
+}
+
+// foldLocked moves every uncollected delta — live processes' usage, exited
+// processes' residue, completion counts — into the cumulative totals, and,
+// given a report, sums what it moved into it as well.
+func (a *Accountant) foldLocked(rep *core.UsageReport) {
 	add := func(entity qos.SubscriberID, usage qos.Vector) {
-		u := rep.BySubscriber[entity]
-		u.Usage = u.Usage.Add(usage)
-		rep.BySubscriber[entity] = u
-		rep.Total = rep.Total.Add(usage)
+		if rep != nil {
+			u := rep.BySubscriber[entity]
+			u.Usage = u.Usage.Add(usage)
+			rep.BySubscriber[entity] = u
+			rep.Total = rep.Total.Add(usage)
+		}
 		a.cumulative[entity] = a.cumulative[entity].Add(usage)
 		a.totalAttribute = a.totalAttribute.Add(usage)
 	}
@@ -215,36 +225,47 @@ func (a *Accountant) Cycle() core.UsageReport {
 		delete(a.pending, entity)
 	}
 	for entity, n := range a.completed {
-		u := rep.BySubscriber[entity]
-		u.Completed = n
-		rep.BySubscriber[entity] = u
+		if rep != nil {
+			u := rep.BySubscriber[entity]
+			u.Completed = n
+			rep.BySubscriber[entity] = u
+		}
 		a.cumCompleted[entity] += n
 		delete(a.completed, entity)
 	}
-	return rep
 }
 
 // CumulativeReport folds any uncollected deltas into the running totals and
 // returns the *cumulative* usage and completion counts since the accountant
 // started. Unlike Cycle's deltas, cumulative reports are loss-tolerant: a
 // reader that misses one can diff the next against its last-seen snapshot
-// and lose nothing.
+// and lose nothing. The fold goes straight into the totals — no Cycle
+// message is built on the way — and the report's map is freshly allocated;
+// a sender on a cycle uses CumulativeReportInto.
 func (a *Accountant) CumulativeReport() core.UsageReport {
-	a.Cycle() // fold pending deltas into the cumulative maps
+	return a.CumulativeReportInto(nil)
+}
+
+// CumulativeReportInto is CumulativeReport with the per-subscriber split
+// written into dst (cleared first; nil allocates fresh), so a sender can
+// hand back a map its receiver is done with instead of making one per
+// message. The caller must own dst: nothing may still read it.
+func (a *Accountant) CumulativeReportInto(dst map[qos.SubscriberID]core.SubscriberUsage) core.UsageReport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rep := core.UsageReport{
-		Node:         a.node,
-		Total:        a.totalAttribute,
-		BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage, len(a.cumulative)),
+	a.foldLocked(nil)
+	if dst == nil {
+		dst = make(map[qos.SubscriberID]core.SubscriberUsage, len(a.cumulative))
+	} else {
+		clear(dst)
 	}
 	for entity, usage := range a.cumulative {
-		rep.BySubscriber[entity] = core.SubscriberUsage{
+		dst[entity] = core.SubscriberUsage{
 			Usage:     usage,
 			Completed: a.cumCompleted[entity],
 		}
 	}
-	return rep
+	return core.UsageReport{Node: a.node, Total: a.totalAttribute, BySubscriber: dst}
 }
 
 // Cumulative returns an entity's total attributed usage across all cycles.

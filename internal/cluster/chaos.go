@@ -73,6 +73,12 @@ type chaosRun struct {
 	lastSeq  map[core.NodeID]int
 	lastEp   map[core.NodeID]int
 	lastSeen map[core.NodeID]core.UsageReport
+	// The accounting maps rotate, as they do through the live dispatcher's
+	// poller: a snapshot map the book is done with — superseded in lastSeen,
+	// or arrived stale — goes to cumFree for a later send, and every delta is
+	// diffed into the one deltaScratch.
+	cumFree      []map[qos.SubscriberID]core.SubscriberUsage
+	deltaScratch map[qos.SubscriberID]core.SubscriberUsage
 
 	// bus, when non-nil, receives one event per breaker state transition —
 	// the failure-detection half of a crash's causal story.
@@ -90,6 +96,8 @@ func newChaosRun(nodes []*RPN, fronts []*frontEnd) *chaosRun {
 		lastSeq:  make(map[core.NodeID]int, len(nodes)),
 		lastEp:   make(map[core.NodeID]int, len(nodes)),
 		lastSeen: make(map[core.NodeID]core.UsageReport, len(nodes)),
+
+		deltaScratch: make(map[qos.SubscriberID]core.SubscriberUsage),
 	}
 	for _, r := range nodes {
 		cs.inflight[r.id] = make(map[uint64]inflight)
@@ -233,23 +241,40 @@ func (cs *chaosRun) nodeWeight(node core.NodeID) float64 {
 	return cs.breakers[node].Weight()
 }
 
+// snapshot takes a node's cumulative report for sending, into a map the
+// book has finished with when there is one.
+func (cs *chaosRun) snapshot(r *RPN) core.UsageReport {
+	var into map[qos.SubscriberID]core.SubscriberUsage
+	if k := len(cs.cumFree); k > 0 {
+		into, cs.cumFree = cs.cumFree[k-1], cs.cumFree[:k-1]
+	}
+	return r.Accountant().CumulativeReportInto(into)
+}
+
 // deliverAcct folds one arriving accounting message into the delta the
 // schedulers consume. Stale messages (an older send overtaken by a newer
 // one inside a delay window) return ok=false and must be ignored. A message
 // from a new incarnation is a counter reset: the fresh cumulative IS the
 // delta, exactly as the live dispatcher's poller sees a restarted backend.
+// The delta's map is the book's scratch: it is good until the next delivery.
 func (cs *chaosRun) deliverAcct(node core.NodeID, msg acctMsg) (core.UsageReport, bool) {
 	if msg.epoch == cs.lastEp[node] && msg.seq <= cs.lastSeq[node] {
+		cs.cumFree = append(cs.cumFree, msg.cum.BySubscriber)
 		return core.UsageReport{}, false
 	}
 	prev := cs.lastSeen[node]
+	superseded := prev.BySubscriber
 	if msg.epoch != cs.lastEp[node] {
 		prev = core.UsageReport{} // restarted: counters began again at zero
 	}
 	cs.lastSeq[node] = msg.seq
 	cs.lastEp[node] = msg.epoch
 	cs.lastSeen[node] = msg.cum
-	return core.DiffUsageReports(msg.cum, prev, nil), true
+	delta := core.DiffUsageReports(msg.cum, prev, cs.deltaScratch)
+	if superseded != nil {
+		cs.cumFree = append(cs.cumFree, superseded)
+	}
+	return delta, true
 }
 
 // inflightTotal counts requests still in flight across all nodes.

@@ -34,9 +34,11 @@ func mustConstSource(sub qos.SubscriberID, host string, rate float64, cost qos.V
 // cluster of eight RPNs whose aggregate capacity is ≈786 GRPS. site1 and
 // site2 must be served at their full offered load; site3 absorbs all spare
 // capacity and drops the rest.
-func Table1() (*Result, error) {
+func Table1() (*Result, error) { return Run(table1Options()) }
+
+func table1Options() Options {
 	generic := qos.GenericCost()
-	return Run(Options{
+	return Options{
 		Subscribers: []qos.Subscriber{
 			{ID: "site1", Hosts: []string{"www.site1.example"}, Reservation: 250, QueueLimit: 128},
 			{ID: "site2", Hosts: []string{"www.site2.example"}, Reservation: 150, QueueLimit: 128},
@@ -51,7 +53,7 @@ func Table1() (*Result, error) {
 		RPNSpeed: 0.9825, // 8 × 98.25 GRPS ≈ 786 GRPS aggregate
 		Warmup:   10 * time.Second,
 		Duration: 40 * time.Second,
-	})
+	}
 }
 
 // Table2 reproduces §4.1's spare-resource-allocation experiment: two sites,

@@ -282,20 +282,31 @@ func (s *sim) wireObservers() {
 	}
 }
 
-// materializeArrivals builds the whole arrival stream up front:
-// deterministic and cheap.
-func (s *sim) materializeArrivals() []workload.Request {
-	if len(s.opts.ReplayTrace) > 0 {
-		return workload.Merge(s.opts.ReplayTrace)
+// arrivalFeed is the run's arrival trace as the engine pulls it, a request
+// at a time: the lazy merge of the load sources, or — a replay trace being
+// already in the caller's memory — its arrival-ordered copy.
+func (s *sim) arrivalFeed() func() (time.Time, any, bool) {
+	var pull func() (*workload.Request, bool)
+	if len(s.opts.ReplayTrace) == 0 {
+		pull = workload.NewStream(s.opts.Sources, s.opts.Warmup+s.opts.Duration, 1).Next
+	} else {
+		trace := workload.Merge(s.opts.ReplayTrace)
+		pull = func() (*workload.Request, bool) {
+			if len(trace) == 0 {
+				return nil, false
+			}
+			req := &trace[0]
+			trace = trace[1:]
+			return req, true
+		}
 	}
-	var streams [][]workload.Request
-	var nextID uint64 = 1
-	for _, src := range s.opts.Sources {
-		var reqs []workload.Request
-		reqs, nextID = src.Schedule(s.opts.Warmup+s.opts.Duration, nextID)
-		streams = append(streams, reqs)
+	return func() (time.Time, any, bool) {
+		req, ok := pull()
+		if !ok {
+			return time.Time{}, nil, false
+		}
+		return s.start.Add(req.Arrival), req, true
 	}
-	return workload.Merge(streams...)
 }
 
 func (s *sim) initMeasurement(subs []qos.SubscriberID) {
@@ -359,7 +370,9 @@ func (s *sim) span(req *workload.Request, sub qos.SubscriberID, node core.NodeID
 
 // run schedules every hop in a fixed order — same-instant events fire in
 // registration order, so this order is part of the simulator's output — and
-// advances the engine to the end of the measured window.
+// advances the engine to the end of the measured window. The arrivals are a
+// feed, pulled as the clock reaches them: they hold the place in that order
+// where the feed is registered, after the auditor and before everything else.
 func (s *sim) run() error {
 	if s.opts.Auditor != nil && s.opts.Recorder != nil {
 		// The live audit ticks with the accounting cycle: violation spans
@@ -367,10 +380,7 @@ func (s *sim) run() error {
 		// wall-clock moment a scraper happened to sync.
 		s.engine.Every(s.opts.AcctCycle, s.opts.Auditor.Sync)
 	}
-	arrivals, arriveFn := s.materializeArrivals(), s.arriveHop
-	for i := range arrivals {
-		s.engine.AtArg(s.start.Add(arrivals[i].Arrival), arriveFn, &arrivals[i])
-	}
+	s.engine.Feed(s.arriveHop, s.arrivalFeed())
 	s.scheduleFaults()
 	s.engine.Every(s.opts.SchedCycle, s.tick)
 	for _, r := range s.rpns {
@@ -602,7 +612,7 @@ func (s *sim) startAcct(r *RPN) {
 		}
 		a := s.acctFree.get()
 		a.node = r.id
-		a.msg = acctMsg{seq: s.book.sendSeq[r.id], epoch: r.Epoch(), cum: r.Accountant().CumulativeReport()}
+		a.msg = acctMsg{seq: s.book.sendSeq[r.id], epoch: r.Epoch(), cum: s.book.snapshot(r)}
 		s.book.sendSeq[r.id]++
 		s.engine.AfterArg(delay, s.acctFn, a)
 	})

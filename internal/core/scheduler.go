@@ -738,7 +738,9 @@ func (s *Scheduler) Enqueue(req Request) error {
 	}
 	if q.qlen() >= q.limit {
 		q.dropped++
-		return fmt.Errorf("%w: %q at limit %d", ErrQueueFull, req.Subscriber, q.limit)
+		// The sentinel itself: a flood refuses once per request, and every
+		// caller counts the drop or answers 503 — none prints a message.
+		return ErrQueueFull
 	}
 	if q.qlen() == 0 {
 		if q.vstart < s.vtime {

@@ -1505,8 +1505,25 @@ func (s *Server) serveStats(conn net.Conn) {
 	_ = resp.Write(conn)
 }
 
+// errorHeads holds the wire form of every bodiless error answer the
+// dispatcher gives, serialized once. Each carries Content-Length: 0: several
+// callers keep the client connection open after a refusal, and a response
+// with no stated end would leave an HTTP/1.1 client waiting for the close.
+var errorHeads = map[int][]byte{
+	400: errorHead(400), 404: errorHead(404), 500: errorHead(500),
+	502: errorHead(502), 503: errorHead(503),
+}
+
+func errorHead(code int) []byte {
+	resp := httpwire.Response{StatusCode: code, Header: map[string]string{"Content-Length": "0"}}
+	return append(resp.AppendHead(nil, 0), "\r\n"...)
+}
+
 func (s *Server) respondError(conn net.Conn, code int) {
-	resp := &httpwire.Response{StatusCode: code, Header: map[string]string{}}
+	head, ok := errorHeads[code]
+	if !ok {
+		head = errorHead(code)
+	}
 	// The client may already be gone; nothing more to do.
-	_ = resp.Write(conn)
+	_, _ = conn.Write(head)
 }

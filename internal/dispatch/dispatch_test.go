@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -703,6 +704,92 @@ func TestTimedOutKeepAliveConnStaysUsable(t *testing.T) {
 	}
 	if got := srv.Stats().Served; got != 0 {
 		t.Errorf("served = %d, want 0", got)
+	}
+}
+
+// TestRefusalEndsOnAKeptConnection: a queue-full 503 leaves the client
+// connection open, so the refusal has to say where it ends. The client here
+// frames responses by net/http's rules, not httpwire's: without
+// Content-Length: 0 it would read the 503's "body" until the dispatcher's
+// idle timeout closed the connection, and the 200 that follows on the same
+// connection would never be asked for. The scheduling cycle is an hour, so
+// the test ticks by hand and the queue is full exactly when it says so.
+func TestRefusalEndsOnAKeptConnection(t *testing.T) {
+	subs := []qos.Subscriber{{ID: "tiny", Hosts: []string{"tiny.example"}, Reservation: 100, QueueLimit: 1}}
+	addr, srv := startServer(t, Config{
+		Subscribers: subs,
+		Backends:    []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
+		Scheduler:   core.Config{Cycle: time.Hour},
+		AcctCycle:   50 * time.Millisecond,
+	})
+	waitQueued := func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); srv.sched.QueueLen("tiny") != 1; {
+			if time.Now().After(deadline) {
+				t.Fatal("request never reached the queue")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tick := func() {
+		t.Helper()
+		waitQueued()
+		for _, d := range srv.sched.Tick() {
+			srv.deliver(d)
+		}
+	}
+
+	// One request fills the queue and waits there.
+	filler := make(chan int, 1)
+	go func() {
+		resp, err := get(t, addr, "tiny.example", "/static/512.html")
+		if err != nil {
+			filler <- 0
+			return
+		}
+		filler <- resp.StatusCode
+	}()
+	waitQueued()
+
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	exchange := func(queued bool) (int, int) {
+		t.Helper()
+		// Far below the 60 s idle timeout that ends an unframed response.
+		_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
+		req := &httpwire.Request{Method: "GET", Target: "/static/512.html", Proto: "HTTP/1.1", Host: "tiny.example"}
+		if err := req.Write(conn); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if queued {
+			tick()
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("read head: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("status %d: read body: %v (a response with no stated end?)", resp.StatusCode, err)
+		}
+		return resp.StatusCode, len(body)
+	}
+	if code, n := exchange(false); code != 503 || n != 0 {
+		t.Fatalf("against a full queue: status %d with %d body bytes, want an empty 503", code, n)
+	}
+	tick()
+	if code := <-filler; code != 200 {
+		t.Fatalf("queued request: status %d, want 200", code)
+	}
+	if code, n := exchange(true); code != 200 || n != 512 {
+		t.Fatalf("after the refusal, same connection: status %d with %d body bytes, want 200 with 512", code, n)
+	}
+	if st := srv.Stats(); st.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
 }
 

@@ -4,6 +4,14 @@
 //
 // The engine is deterministic: events scheduled for the same instant fire in
 // FIFO order of scheduling, so simulation runs are exactly reproducible.
+// Every scheduling call takes the next sequence number and events fire in
+// (instant, sequence) order. A Feed — one time-sorted stream pulled an item
+// at a time instead of being scheduled item by item — takes a single
+// sequence number when it is registered and all of its items fire under it:
+// at one instant, events scheduled before the Feed call come first, then the
+// feed's items in stream order, then events scheduled after it. That is the
+// order registering every item with AtArg at the point of the Feed call
+// would give, without holding the items in the heap.
 package vclock
 
 import (
@@ -98,6 +106,14 @@ type Engine struct {
 	free    []*event // recycled event nodes; steady state allocates none
 	nextSeq uint64
 	stopped bool
+
+	// The feed: feedNext is nil when there is none or it has run dry;
+	// otherwise feedAt/feedArg hold its head, already clamped to the clock.
+	feedFn   func(any)
+	feedNext func() (time.Time, any, bool)
+	feedSeq  uint64
+	feedAt   time.Time
+	feedArg  any
 }
 
 // NewEngine returns an engine whose clock starts at the given origin.
@@ -111,7 +127,8 @@ var _ Clock = (*Engine)(nil)
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
 
-// Len returns the number of pending events.
+// Len returns the number of pending scheduled events. A feed's items are
+// not counted: they are pulled one at a time and never held by the engine.
 func (e *Engine) Len() int { return len(e.queue) }
 
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
@@ -155,6 +172,59 @@ func (e *Engine) schedule(t time.Time, fn func(), argFn func(any), arg any) Time
 	return Timer{ev: ev, gen: ev.gen}
 }
 
+// Feed merges a stream of events into the engine's order: next yields the
+// stream's items — instant, argument, and false once it has run dry — in
+// non-decreasing time order, and each fires as fn(arg) exactly where an
+// AtArg(instant, fn, arg) made at the point of this call would have fired
+// it (see the package comment for the tie rule). An instant in the past
+// clamps to Now, as with At. The engine holds one item of the stream at a
+// time, so a long arrival trace costs no heap entries. An engine takes one
+// feed at a time; Feed panics if the previous one has not run dry.
+func (e *Engine) Feed(fn func(any), next func() (time.Time, any, bool)) {
+	if e.feedNext != nil {
+		panic("vclock: engine already has a feed")
+	}
+	e.feedFn, e.feedNext, e.feedSeq = fn, next, e.nextSeq
+	e.nextSeq++
+	e.pullFeed()
+}
+
+// pullFeed loads the feed's next item as its head, or drops the feed once
+// the stream has run dry.
+func (e *Engine) pullFeed() {
+	at, arg, ok := e.feedNext()
+	if !ok {
+		e.feedFn, e.feedNext, e.feedArg = nil, nil, nil
+		return
+	}
+	if at.Before(e.now) {
+		at = e.now
+	}
+	e.feedAt, e.feedArg = at, arg
+}
+
+// next reports the next event to fire: its instant and whether it is the
+// feed's head rather than the heap's top, by the (instant, sequence) rule
+// that orders the heap. ok is false when nothing is pending.
+func (e *Engine) next() (at time.Time, feed, ok bool) {
+	if len(e.queue) == 0 {
+		return e.feedAt, true, e.feedNext != nil
+	}
+	top := e.queue[0]
+	if e.feedNext == nil {
+		return top.at, false, true
+	}
+	if !e.feedAt.Equal(top.at) {
+		feed = e.feedAt.Before(top.at)
+	} else {
+		feed = e.feedSeq < top.seq
+	}
+	if feed {
+		return e.feedAt, true, true
+	}
+	return top.at, false, true
+}
+
 // recycle returns a popped or cancelled event node to the free list. The
 // generation bump invalidates every Timer handed out for this node.
 func (e *Engine) recycle(ev *event) {
@@ -190,8 +260,26 @@ func (e *Engine) Every(period time.Duration, fn func()) (stop func()) {
 // Step fires the earliest pending event, advancing the clock to its time.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.queue) == 0 {
+	if e.stopped {
 		return false
+	}
+	_, feed, ok := e.next()
+	if ok {
+		e.fire(feed)
+	}
+	return ok
+}
+
+// fire runs the event next reported, advancing the clock to its time.
+func (e *Engine) fire(feed bool) {
+	if feed {
+		e.now = e.feedAt
+		fn, arg := e.feedFn, e.feedArg
+		// Advance before running, as the heap path recycles before running:
+		// the callback sees an engine already past this item.
+		e.pullFeed()
+		fn(arg)
+		return
 	}
 	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.at
@@ -204,7 +292,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // Stop halts the engine: Run and Step become no-ops.
@@ -217,17 +304,15 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // stopped, or the next event lies after deadline. The clock is left at
 // min(deadline, last fired event). It returns ErrStopped if halted by Stop.
 func (e *Engine) RunUntil(deadline time.Time) error {
-	for len(e.queue) > 0 {
+	for {
 		if e.stopped {
 			return ErrStopped
 		}
-		if e.queue[0].at.After(deadline) {
+		at, feed, ok := e.next()
+		if !ok || at.After(deadline) {
 			break
 		}
-		e.Step()
-	}
-	if e.stopped {
-		return ErrStopped
+		e.fire(feed)
 	}
 	if e.now.Before(deadline) {
 		e.now = deadline

@@ -7,6 +7,13 @@
 // reproducible. Load generation follows the open-loop constant-rate model of
 // Banga & Druschel that the paper cites: clients issue requests at a fixed
 // rate regardless of completions.
+//
+// There is one arrival generator: Stream, a lazy merge of Sources in
+// (arrival, ID) order that yields a request at a time, so a consumer that
+// pulls — the simulator's engine feed — never holds the trace;
+// Source.Schedule is a drain of it for callers that want the slice. Because
+// the merge draws from the sources in arrival order, not source by source,
+// every Source needs a Generator, an Arrivals and random state of its own.
 package workload
 
 import (
@@ -203,6 +210,10 @@ func (c *CGIMix) Next() Request {
 type Arrivals interface {
 	// NextGap returns the time until the next arrival.
 	NextGap() time.Duration
+	// Rewind restarts the process: the gaps that follow are the ones a
+	// freshly constructed process would produce. A Stream counts a source's
+	// arrivals in one pass and generates them in a second.
+	Rewind()
 }
 
 // ConstantRate spaces arrivals exactly 1/rate apart — the paper's client
@@ -224,9 +235,13 @@ var _ Arrivals = (*ConstantRate)(nil)
 // NextGap implements Arrivals.
 func (c *ConstantRate) NextGap() time.Duration { return c.gap }
 
+// Rewind implements Arrivals; a constant rate has no state to restart.
+func (c *ConstantRate) Rewind() {}
+
 // Poisson spaces arrivals with exponential gaps of the given mean rate.
 type Poisson struct {
 	mean float64 // mean gap in seconds
+	seed int64
 	rng  *rand.Rand
 }
 
@@ -235,7 +250,7 @@ func NewPoisson(perSecond float64, seed int64) (*Poisson, error) {
 	if perSecond <= 0 {
 		return nil, fmt.Errorf("workload: rate must be positive, got %v", perSecond)
 	}
-	return &Poisson{mean: 1 / perSecond, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Poisson{mean: 1 / perSecond, seed: seed, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 var _ Arrivals = (*Poisson)(nil)
@@ -245,8 +260,14 @@ func (p *Poisson) NextGap() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() * p.mean * float64(time.Second))
 }
 
+// Rewind implements Arrivals by re-seeding the generator.
+func (p *Poisson) Rewind() { p.rng.Seed(p.seed) }
+
 // Source couples a subscriber, a request generator and an arrival process:
-// one client load stream.
+// one client load stream. Sources that are scheduled or streamed together
+// must not share a Generator, an Arrivals or a random source between them:
+// a Stream draws from each in arrival order, not source by source, so only
+// unshared state gives every source the sequence it would produce alone.
 type Source struct {
 	// Subscriber is the target charging entity.
 	Subscriber qos.SubscriberID
@@ -257,18 +278,19 @@ type Source struct {
 }
 
 // Schedule materializes the source's arrivals over [0, run) as a slice of
-// requests with IDs and arrival stamps assigned, starting from firstID.
-// It returns the requests and the next free ID.
+// requests with IDs and arrival stamps assigned, starting from firstID. It
+// returns the requests and the next free ID. It is a drain of the source's
+// Stream, so the arrival process is rewound first: scheduling a source
+// twice repeats its arrival instants (its generator carries on).
 func (s Source) Schedule(run time.Duration, firstID uint64) ([]Request, uint64) {
+	st := NewStream([]Source{s}, run, firstID)
 	var out []Request
-	id := firstID
-	for t := s.Arrivals.NextGap(); t < run; t += s.Arrivals.NextGap() {
-		r := s.Gen.Next()
-		r.ID = id
-		r.Subscriber = s.Subscriber
-		r.Arrival = t
-		out = append(out, r)
-		id++
+	if st.Len() > 0 {
+		out = make([]Request, 0, st.Len())
 	}
-	return out, id
+	var r Request
+	for st.next(&r) {
+		out = append(out, r)
+	}
+	return out, firstID + uint64(st.Len())
 }
