@@ -1,7 +1,7 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
 .PHONY: verify build vet test race chaos lint bench-build bench-sched bench-hier bench-obs bench-frontier bench-pin stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
-verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs stress-hier chaos-rdn chaos-elastic
+verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
 
 build:
 	go build ./...
@@ -65,9 +65,11 @@ bench-pin:
 
 # Scheduler hot-path scale trajectory: one steady-state scheduling cycle
 # (arrivals + Tick + accounting feedback, 64-subscriber working set) at
-# 1k/10k/100k registered subscribers, flight recorder off and on. Pinned in
-# BENCH_sched.json; per-cycle cost must stay flat across the sweep
-# (O(1) per dispatch decision) and allocs/op must stay 0.
+# 1k/10k/100k registered subscribers, flight recorder off and on, and the
+# same cycle at 10k with the arrivals going through Submit (the regexp
+# matches SchedCycleSubmit too). Pinned in BENCH_sched.json; per-cycle cost
+# must stay flat across the sweep (O(1) per dispatch decision) and allocs/op
+# must stay 0.
 bench-sched:
 	$(call benchgate,BENCH_sched.json,-bench SchedCycle -benchtime=300x ./internal/core/)
 

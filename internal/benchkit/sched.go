@@ -33,6 +33,10 @@ const schedPerCycle = 8
 type SchedScale struct {
 	Sched *core.Scheduler
 	Total int
+	// OnArrival sends the cycle's arrivals through Submit instead of
+	// Enqueue — the front ends' path: a request its subscriber's reservation
+	// covers is dispatched there and then, the rest wait for the Tick.
+	OnArrival bool
 
 	hot    []qos.SubscriberID
 	reps   []core.UsageReport // one per node; maps reused across cycles
@@ -90,34 +94,43 @@ func NewSchedScale(total int, record bool) (*SchedScale, error) {
 // everything dispatched (actual usage = predicted, so the feedback loop is
 // in equilibrium and pending charges never accumulate).
 func (sc *SchedScale) Cycle() {
+	for i := range sc.reps {
+		rep := &sc.reps[i]
+		rep.Total = qos.Vector{}
+		clear(rep.BySubscriber)
+	}
 	for i := 0; i < schedPerCycle; i++ {
 		sc.nextID++
+		req := core.Request{ID: sc.nextID, Subscriber: sc.hot[sc.next]}
 		// The hot queues never reach their limit in equilibrium.
-		_ = sc.Sched.Enqueue(core.Request{ID: sc.nextID, Subscriber: sc.hot[sc.next]})
+		if !sc.OnArrival {
+			_ = sc.Sched.Enqueue(req)
+		} else if d, now, _ := sc.Sched.Submit(req); now {
+			sc.complete(&d)
+		}
 		sc.next++
 		if sc.next == len(sc.hot) {
 			sc.next = 0
 		}
 	}
 	disp := sc.Sched.Tick()
-	for i := range sc.reps {
-		rep := &sc.reps[i]
-		rep.Total = qos.Vector{}
-		clear(rep.BySubscriber)
-	}
 	for i := range disp {
-		d := &disp[i]
-		rep := &sc.reps[int(d.Node)]
-		u := rep.BySubscriber[d.Req.Subscriber]
-		u.Usage = u.Usage.Add(d.Predicted)
-		u.Completed++
-		rep.BySubscriber[d.Req.Subscriber] = u
-		rep.Total = rep.Total.Add(d.Predicted)
+		sc.complete(&disp[i])
 	}
 	for i := range sc.reps {
 		// Every node is registered; empty reports are valid (idle node).
 		_ = sc.Sched.ReportUsage(sc.reps[i])
 	}
+}
+
+// complete books one dispatch into its node's accounting message.
+func (sc *SchedScale) complete(d *core.Dispatch) {
+	rep := &sc.reps[int(d.Node)]
+	u := rep.BySubscriber[d.Req.Subscriber]
+	u.Usage = u.Usage.Add(d.Predicted)
+	u.Completed++
+	rep.BySubscriber[d.Req.Subscriber] = u
+	rep.Total = rep.Total.Add(d.Predicted)
 }
 
 // Warm runs enough cycles to reach the allocation-free steady state: queue

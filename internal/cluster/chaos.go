@@ -165,6 +165,23 @@ func (cs *chaosRun) reclaimOne(node core.NodeID, reqID uint64) {
 	cs.giveBack(node, reqID)
 }
 
+// lostOnWire reports whether a dispatch arriving at its node is lost to a
+// crash, settling it if nothing has yet. A crash that fell while the
+// dispatch was on the wire swept it out of the book with everything else in
+// flight there: the sweep owns that reclaim and the arrival finds nothing to
+// give back. A dispatch sent to a node already down — the schedulers keep
+// choosing it until the missed-accounting streak trips — is reclaimed here.
+func (cs *chaosRun) lostOnWire(node core.NodeID, reqID uint64) bool {
+	if _, tracked := cs.inflight[node][reqID]; !tracked {
+		return true
+	}
+	if cs.crashed[node] {
+		cs.reclaimOne(node, reqID)
+		return true
+	}
+	return false
+}
+
 // fenceOne settles one request refused at the delivery fence.
 func (cs *chaosRun) fenceOne(node core.NodeID, reqID uint64) {
 	cs.fenced++

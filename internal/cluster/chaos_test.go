@@ -117,6 +117,41 @@ func TestChaosCrashDeviationBounded(t *testing.T) {
 	}
 }
 
+// TestChaosCrashWhileDispatchOnWire lands a crash inside the RDN→RPN wire
+// latency of a dispatch to the crashing node: the crash sweep reclaims the
+// in-flight entry, and the delivery that follows 50 µs later must find it
+// settled — not reclaim it a second time. Dispatches leave between ticks, so
+// the instant is taken from a fault-free run of the same workload (a fault
+// plan changes nothing before its first event fires).
+func TestChaosCrashWhileDispatchOnWire(t *testing.T) {
+	bare, err := Run(chaosOptions(nil))
+	if err != nil {
+		t.Fatalf("Run without plan: %v", err)
+	}
+	opts := chaosOptions(nil)
+	var crashAt time.Duration
+	for _, s := range bare.NodeDispatches[2].Samples() {
+		if s.T >= 8*time.Second {
+			crashAt = opts.Warmup + s.T + 50*time.Microsecond
+			break
+		}
+	}
+	if crashAt == 0 {
+		t.Fatal("fault-free run never dispatched to node 2 after 8 s")
+	}
+	res, err := Run(chaosOptions(&faults.Plan{Seed: 42, Events: []faults.Event{
+		{At: crashAt, Kind: faults.NodeCrash, Node: 2},
+		{At: 20 * time.Second, Kind: faults.NodeRecover, Node: 2},
+	}}))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	assertSettled(t, res)
+	if res.ReclaimedReqs == 0 {
+		t.Error("a crash with a dispatch on the wire reclaimed nothing")
+	}
+}
+
 func TestChaosEmptyPlanMatchesNoPlan(t *testing.T) {
 	bare, err := Run(chaosOptions(nil))
 	if err != nil {

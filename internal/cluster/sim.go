@@ -425,9 +425,11 @@ func (s *sim) arriveHop(arg any) {
 	s.engine.AtArg(fe.cpu.admit(s.engine.Now()), s.enqueueFn, arg)
 }
 
-// enqueueHop classifies one admitted request and queues it on its front
-// end's scheduler. A full queue sheds it: overload control at the RDN's
-// edge, counted over the whole run so the books close exactly.
+// enqueueHop classifies one admitted request and submits it to its front
+// end's scheduler: a request its subscriber's reservation already covers is
+// launched at its RPN now, any other waits in its queue for the tick. A full
+// queue sheds it: overload control at the RDN's edge, counted over the whole
+// run so the books close exactly.
 func (s *sim) enqueueHop(arg any) {
 	req := arg.(*workload.Request)
 	sub, ok := s.classifier.Classify(req.Host, req.Path)
@@ -454,17 +456,19 @@ func (s *sim) enqueueHop(arg any) {
 		affinity = localityKey(req.Host, req.Path)
 	}
 	var outcome string
-	switch {
-	case fe == nil:
+	if fe == nil {
 		s.refusedDead++
 		outcome = "refused"
-	case fe.sched.Enqueue(core.Request{ID: req.ID, Subscriber: sub, Affinity: affinity, Payload: req}) != nil:
+	} else if d, now, err := fe.sched.Submit(core.Request{ID: req.ID, Subscriber: sub, Affinity: affinity, Payload: req}); err != nil {
 		s.shed++
 		outcome = "shed"
-	default:
+	} else {
 		s.admitted++
 		if s.traced(req.ID) {
 			s.span(req, sub, 0, "queue", "")
+		}
+		if now {
+			s.launch(fe, d)
 		}
 		return
 	}
@@ -477,31 +481,38 @@ func (s *sim) enqueueHop(arg any) {
 	}
 }
 
+// launch sends one dispatch decision, made on arrival or by a tick, on its
+// way to its RPN: it enters the settlement book and rides a pooled flight
+// carrier through the wire-latency and service-time hops, stamped on a tier
+// with its front end's grant epoch for the delivery fence.
+func (s *sim) launch(fe *frontEnd, d core.Dispatch) {
+	req, ok := d.Req.Payload.(*workload.Request)
+	if !ok {
+		return
+	}
+	s.book.track(d.Node, req.ID, req.Subscriber, fe)
+	if s.traced(req.ID) {
+		s.span(req, req.Subscriber, d.Node, "dispatch", "")
+	}
+	s.nodeDispatches[d.Node].Record(s.engine.Now().Sub(s.measureFrom), 1)
+	f := s.flightFree.get()
+	f.req, f.node, f.front = req, s.byID[d.Node], fe
+	if s.tier != nil {
+		f.grant = fe.grant[s.tier.groupOf[req.Subscriber]]
+	}
+	s.engine.AfterArg(s.opts.DispatchLatency, s.deliverFn, f)
+}
+
 // tick is the scheduling cycle: every live front end's dispatch decisions
-// travel to their RPNs, each riding a pooled flight carrier through the
-// wire-latency and service-time hops, and every balance is audited against
-// its clamp floor (tiny slack for Scale rounding).
+// are launched, and every balance is audited against its clamp floor (tiny
+// slack for Scale rounding).
 func (s *sim) tick() {
 	for _, fe := range s.fronts {
 		if !fe.alive {
 			continue
 		}
 		for _, d := range fe.sched.Tick() {
-			req, ok := d.Req.Payload.(*workload.Request)
-			if !ok {
-				continue
-			}
-			s.book.track(d.Node, req.ID, req.Subscriber, fe)
-			if s.traced(req.ID) {
-				s.span(req, req.Subscriber, d.Node, "dispatch", "")
-			}
-			s.nodeDispatches[d.Node].Record(s.engine.Now().Sub(s.measureFrom), 1)
-			f := s.flightFree.get()
-			f.req, f.node, f.front = req, s.byID[d.Node], fe
-			if s.tier != nil {
-				f.grant = fe.grant[s.tier.groupOf[req.Subscriber]]
-			}
-			s.engine.AfterArg(s.opts.DispatchLatency, s.deliverFn, f)
+			s.launch(fe, d)
 		}
 		for id, floor := range s.floors {
 			b, ok := fe.sched.Balance(id)
@@ -518,14 +529,13 @@ func (s *sim) tick() {
 
 // deliverHop is a dispatch reaching its RPN: crash check, epoch fence, then
 // service. A decision that reaches a node which crashed while it was on the
-// wire is lost, and one whose (front end, grant epoch) stamp is no longer
-// its group's current ownership is refused; either way the charge goes back
-// so the dispatch still settles exactly once.
+// wire, or was sent to one already down, is lost, and one whose (front end,
+// grant epoch) stamp is no longer its group's current ownership is refused;
+// either way the charge goes back so the dispatch still settles exactly once.
 func (s *sim) deliverHop(arg any) {
 	f := arg.(*flight)
 	req, node := f.req, f.node
-	if s.book.crashed[node.id] {
-		s.book.reclaimOne(node.id, req.ID)
+	if s.book.lostOnWire(node.id, req.ID) {
 		if s.traced(req.ID) {
 			s.span(req, req.Subscriber, node.id, obs.StageSettle, "reclaimed")
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // checkSchedulerInvariants asserts the scheduler's internal accounting
-// identities, which every interleaving of Enqueue/Tick/ReportUsage/
+// identities, which every interleaving of Enqueue/Submit/Tick/ReportUsage/
 // CancelQueued/ReleaseDispatch/Redispatch/MigrateSubscriber/MergeGroups/
 // AddSubscriber/ResizeReservation/RemoveSubscriber/AddNode/DrainNode/
 // RemoveNode must preserve:
@@ -209,18 +209,35 @@ func TestSchedulerOpInterleavingsPreserveInvariants(t *testing.T) {
 			for op := 0; op < 400; op++ {
 				step := fmt.Sprintf("op %d", op)
 				switch k := rng.Intn(100); {
-				case k < 35: // enqueue a burst
+				case k < 35: // a burst arrives: queued for the tick, or submitted
 					sub := subIDs[rng.Intn(len(subIDs))]
+					onArrival := rng.Intn(2) == 0
 					for i := 0; i < 1+rng.Intn(4); i++ {
 						nextID++
-						err := s.Enqueue(Request{ID: nextID, Subscriber: sub})
+						req := Request{ID: nextID, Subscriber: sub}
+						var d Dispatch
+						var now bool
+						var err error
+						if onArrival {
+							d, now, err = s.Submit(req)
+						} else {
+							err = s.Enqueue(req)
+						}
 						if errors.Is(err, ErrQueueFull) {
 							nextID-- // not admitted; harness forgets it
 							break
 						} else if err != nil {
-							t.Fatalf("%s: Enqueue: %v", step, err)
+							t.Fatalf("%s: admit: %v", step, err)
 						}
-						queued[sub] = append(queued[sub], nextID)
+						if !now {
+							queued[sub] = append(queued[sub], nextID)
+							continue
+						}
+						if d.Req.ID != nextID || len(queued[sub]) != 0 {
+							t.Fatalf("%s: Submit dispatched %d for %s past its queue %v (submitted %d)",
+								step, d.Req.ID, sub, queued[sub], nextID)
+						}
+						inflight[d.Node] = append(inflight[d.Node], propEntry{id: nextID, sub: sub})
 					}
 				case k < 55: // scheduling tick
 					for _, d := range s.Tick() {

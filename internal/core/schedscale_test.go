@@ -46,25 +46,54 @@ func BenchmarkSchedCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedCycleSubmit is BenchmarkSchedCycle with the cycle's arrivals
+// going through Submit, as a front end's do: the same load, some of it
+// dispatched on arrival and the rest at the Tick, and still no allocation.
+func BenchmarkSchedCycleSubmit(b *testing.B) {
+	for _, rec := range []bool{false, true} {
+		b.Run("subs=10000/rec="+onOff(rec), func(b *testing.B) {
+			sc, err := benchkit.NewSchedScale(10_000, rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc.OnArrival = true
+			sc.Warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.Cycle()
+			}
+		})
+	}
+}
+
 // TestTickAllocFreeAt10k is the allocation regression gate for the
 // scheduling hot path: after warm-up, a full cycle at 10k registered
-// subscribers — Enqueue, Tick, and accounting feedback, with the flight
-// recorder both off and on — must not allocate at all.
+// subscribers — arrivals through Enqueue or through Submit, Tick, and
+// accounting feedback, with the flight recorder both off and on — must not
+// allocate at all.
 func TestTickAllocFreeAt10k(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	for _, rec := range []bool{false, true} {
-		t.Run("rec="+onOff(rec), func(t *testing.T) {
-			sc, err := benchkit.NewSchedScale(10_000, rec)
-			if err != nil {
-				t.Fatal(err)
+	for _, onArrival := range []bool{false, true} {
+		for _, rec := range []bool{false, true} {
+			name := "rec=" + onOff(rec)
+			if onArrival {
+				name = "submit/" + name
 			}
-			sc.Warm()
-			if allocs := testing.AllocsPerRun(100, sc.Cycle); allocs != 0 {
-				t.Errorf("steady-state scheduling cycle allocated %.0f objects per run, want 0", allocs)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				sc, err := benchkit.NewSchedScale(10_000, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.OnArrival = onArrival
+				sc.Warm()
+				if allocs := testing.AllocsPerRun(100, sc.Cycle); allocs != 0 {
+					t.Errorf("steady-state scheduling cycle allocated %.0f objects per run, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

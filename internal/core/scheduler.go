@@ -6,6 +6,14 @@
 // discrete-event cluster simulator and the live TCP dispatcher drive the same
 // Scheduler, one on a virtual clock and one on wall time.
 //
+// Credit accrues per scheduling cycle, at Tick; dispatch does not have to
+// wait for one. A front end hands each arriving request to Submit, which
+// dispatches it on the spot when its subscriber's reservation already covers
+// it — empty queue, reservation-round gate passed, a node with room — and
+// otherwise queues it for the next Tick, as Enqueue always does. Tick credits
+// the backlogged queues, serves them on their reservations, and alone shares
+// out what capacity the reservations leave spare.
+//
 // The hot path is allocation-free and O(active) per cycle: idle subscribers
 // cost nothing (their credit settles lazily from a cycle counter), the spare
 // round pops its next dispatch from a min-heap keyed on the SFQ start tag,
@@ -377,9 +385,12 @@ type queueState struct {
 
 	// Per-cycle flight-recorder accumulators, maintained only while a
 	// recorder is attached and reset as each cycle record is committed:
-	// dispatch counts by funding round, the effective credit granted this
-	// cycle, and the usage/completions reported since the previous record.
-	// recTouched marks membership in the cycle's to-record list.
+	// dispatch counts by funding round, the effective credit granted, and
+	// the usage/completions reported, each summed over everything since the
+	// previous record — the tick itself and whatever Submit, usage reports
+	// and balance reads did between ticks — so the records add up to what
+	// the balance saw. recTouched marks membership in the cycle's to-record
+	// list.
 	recTouched   bool
 	cycReserved  int
 	cycSpare     int
@@ -455,7 +466,7 @@ func (nd *nodeState) hasRoom(predicted qos.Vector) bool {
 }
 
 // Scheduler is the RDN request+node scheduler. It is safe for concurrent
-// use; the live dispatcher calls Enqueue from connection goroutines while a
+// use; the live dispatcher calls Submit from connection goroutines while a
 // ticker goroutine calls Tick.
 type Scheduler struct {
 	mu sync.Mutex
@@ -505,8 +516,8 @@ type Scheduler struct {
 	dispatchBuf []Dispatch
 
 	// recTouched lists the queues with activity to record this cycle
-	// (visited by the reservation round or named in a usage report);
-	// maintained only while a recorder is attached.
+	// (visited by the reservation round, submitted to, or named in a usage
+	// report); maintained only while a recorder is attached.
 	recTouched []*queueState
 
 	dispatched uint64
@@ -611,8 +622,15 @@ func (s *Scheduler) materialize(id qos.SubscriberID, def *subDef) *queueState {
 // Cycle returns the configured scheduling cycle.
 func (s *Scheduler) Cycle() time.Duration { return s.cfg.Cycle }
 
+// CreditWindow returns the span of credit a balance may bank or owe.
+func (s *Scheduler) CreditWindow() time.Duration { return s.cfg.CreditWindow }
+
 // settleCredit folds the cycles elapsed since the queue's last settlement
-// into its balance, clamped to the credit band. Callers hold s.mu.
+// into its balance, clamped to the credit band. It is the one place credit is
+// granted — by the reservation round, by Submit, by a usage report or a
+// balance read — so with a recorder attached the grant (the balance delta
+// after clamping) is added to the cycle's accumulator here, whoever settled
+// it and whether or not a tick was running. Callers hold s.mu.
 func (s *Scheduler) settleCredit(q *queueState) {
 	k := s.cycleNum - q.lastCredit
 	if k == 0 {
@@ -623,7 +641,24 @@ func (s *Scheduler) settleCredit(q *queueState) {
 	if k > 1 {
 		credit = credit.Scale(float64(k))
 	}
-	q.balance = s.clampBalance(q, q.balance.Add(credit))
+	before := q.balance
+	q.balance = s.clampBalance(q, before.Add(credit))
+	if s.rec != nil {
+		q.cycCredited = q.cycCredited.Add(q.balance.Sub(before))
+	}
+}
+
+// inCredit is the reservation round's gate: the settled balance — less, when
+// self-clocked, the predicted usage of the requests already in flight — is
+// not negative. A queue that passes may be sent one more request on its
+// reservation; one that fails waits for credit, which arrives only at ticks.
+// Callers hold s.mu and have settled q.
+func (s *Scheduler) inCredit(q *queueState) bool {
+	effective := q.balance
+	if s.cfg.Gate == GateSelfClocked {
+		effective = effective.Sub(q.estTotal)
+	}
+	return !effective.AnyNegative()
 }
 
 // activate inserts q into its group's active list at its sorted position,
@@ -723,16 +758,53 @@ func (s *Scheduler) touch(q *queueState) {
 }
 
 // Enqueue classifies nothing — the caller already did — it appends the
-// request to its subscriber's FIFO queue. It returns ErrQueueFull on a drop
-// and ErrUnknownSubscriber for unregistered subscribers.
+// request to its subscriber's FIFO queue, where it waits for a Tick to
+// dispatch it. It returns ErrQueueFull on a drop and ErrUnknownSubscriber for
+// unregistered subscribers. Callers that must keep the order in which they
+// queue (a partition hand-off re-queuing another scheduler's backlog) or that
+// measure the tick path use Enqueue; a front end admitting a client's request
+// uses Submit.
 func (s *Scheduler) Enqueue(req Request) error {
+	_, _, err := s.submit(req, false)
+	return err
+}
+
+// Submit is Enqueue for an arriving request: when the subscriber's
+// reservation already covers it, it is dispatched there and then instead of
+// at the next Tick. That is the case when its queue is empty (nothing is
+// overtaken), its credit — settled to the current cycle, with none for the
+// fraction of a cycle since — passes the reservation round's own gate
+// (inCredit), and a node has room. The decision is the one the next Tick's
+// reservation round would have made, one cycle's credit earlier: same node
+// pick, same reservation-funded charge, same in-flight entry, settled by
+// ReportUsage, ReleaseDispatch, Redispatch or RemoveSubscriber like any
+// other. Only the wait for the cycle boundary, an artefact of a timer-driven
+// scheduler and no part of the guarantee, is gone.
+//
+// The gate is the round's and not "the balance covers the predicted cost": a
+// stricter gate here would queue requests the next Tick dispatches anyway,
+// adding the wait back without withholding anything. Submit never hands out
+// spare capacity: a subscriber at or over its reservation is paced by credit
+// arriving at ticks, and what the reservations leave over is shared among
+// the backlogged queues in proportion to reservation by the Tick's spare
+// round alone, which needs all of them in view.
+//
+// It reports the dispatch and true, or false when the request was queued for
+// the Tick exactly as Enqueue queues it; the errors are Enqueue's.
+func (s *Scheduler) Submit(req Request) (Dispatch, bool, error) {
+	return s.submit(req, true)
+}
+
+// submit is the body of Enqueue and Submit; onArrival permits the immediate
+// dispatch.
+func (s *Scheduler) submit(req Request, onArrival bool) (Dispatch, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q, ok := s.subs[req.Subscriber]
 	if !ok {
 		def, registered := s.defs[req.Subscriber]
 		if !registered {
-			return fmt.Errorf("%w: %q", ErrUnknownSubscriber, req.Subscriber)
+			return Dispatch{}, false, fmt.Errorf("%w: %q", ErrUnknownSubscriber, req.Subscriber)
 		}
 		q = s.materialize(req.Subscriber, def)
 	}
@@ -740,18 +812,31 @@ func (s *Scheduler) Enqueue(req Request) error {
 		q.dropped++
 		// The sentinel itself: a flood refuses once per request, and every
 		// caller counts the drop or answers 503 — none prints a message.
-		return ErrQueueFull
+		return Dispatch{}, false, ErrQueueFull
 	}
-	if q.qlen() == 0 {
-		if q.vstart < s.vtime {
-			// SFQ activation: a queue returning from idleness joins the spare
-			// round at the current virtual time instead of replaying the past.
-			q.vstart = s.vtime
-		}
-		s.activate(q)
-	}
+	wasEmpty := q.qlen() == 0
 	q.push(req)
-	return nil
+	if !wasEmpty {
+		return Dispatch{}, false, nil
+	}
+	if onArrival {
+		s.settleCredit(q)
+		if s.rec != nil {
+			s.touch(q)
+		}
+		if s.inCredit(q) {
+			if d, ok := s.dispatchOne(q, false /* reservation-funded */); ok {
+				return d, true, nil
+			}
+		}
+	}
+	if q.vstart < s.vtime {
+		// SFQ activation: a queue returning from idleness joins the spare
+		// round at the current virtual time instead of replaying the past.
+		q.vstart = s.vtime
+	}
+	s.activate(q)
+	return Dispatch{}, false, nil
 }
 
 // Tick runs one scheduling cycle and returns the dispatch decisions in
@@ -814,21 +899,11 @@ func (s *Scheduler) Tick() []Dispatch {
 			m := len(g.active)
 			for i := 0; i < m; i++ {
 				q := g.active[(g.astart+i)%m]
-				before := q.balance
 				s.settleCredit(q)
 				if s.rec != nil {
-					// The effective credit: the balance delta after clamping.
-					q.cycCredited = q.balance.Sub(before)
 					s.touch(q)
 				}
-				for q.qlen() > 0 {
-					effective := q.balance
-					if s.cfg.Gate == GateSelfClocked {
-						effective = effective.Sub(q.estTotal)
-					}
-					if effective.AnyNegative() {
-						break
-					}
+				for q.qlen() > 0 && s.inCredit(q) {
 					d, ok := s.dispatchOne(q, false /* reservation-funded */)
 					if !ok {
 						break // no node has room; leave queued
@@ -989,10 +1064,10 @@ func sparePop(h []*queueState) []*queueState {
 }
 
 // recordCycle commits one flight-recorder record of the cycle that just ran
-// and resets the per-cycle accumulators. Only subscribers with activity this
-// cycle — visited by the reservation round or named in a usage report —
-// appear in the record; idle subscribers are omitted so recording stays
-// O(active). Callers hold s.mu and have checked s.rec != nil. Steady state
+// and resets the per-cycle accumulators. Only subscribers with activity
+// since the last record — visited by the reservation round, submitted to, or
+// named in a usage report — appear in it; idle subscribers are omitted so
+// recording stays O(active). Callers hold s.mu and have checked s.rec != nil. Steady state
 // allocates nothing: the record's slices retain their capacity across
 // cycles.
 func (s *Scheduler) recordCycle() {

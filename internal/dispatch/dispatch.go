@@ -1,8 +1,10 @@
 // Package dispatch is the live-network Gage front end: a TCP listener that
-// classifies incoming HTTP requests by virtual host, queues them in the core
-// scheduler's per-subscriber queues, dispatches them to back-end servers
-// under the credit-based QoS discipline, and feeds the back ends' accounting
-// reports into the scheduler's balances.
+// classifies incoming HTTP requests by virtual host, submits them to the core
+// scheduler — which dispatches a request its subscriber's reservation already
+// covers as it arrives and holds any other in the subscriber's queue for the
+// scheduling tick — relays them to back-end servers under the credit-based
+// QoS discipline, and feeds the back ends' accounting reports into the
+// scheduler's balances.
 //
 // It plays the RDN's role over real sockets. The first-leg handshake and
 // URL read happen here; the second leg is a persistent connection to the
@@ -193,6 +195,13 @@ type Stats struct {
 	// HandedOff is queued requests withdrawn at Close because their group
 	// migrated to another front end — redispatchable there, not shed.
 	HandedOff uint64
+	// DispatchedOnArrival and DispatchedAtTick split the dispatch decisions
+	// handed to a serving goroutine by when they were made: as the request
+	// arrived, its subscriber's reservation already covering it, or by a
+	// scheduling cycle after a wait in the queue. A subscriber sliding from
+	// the first to the second has gone from in credit to paced by the tick.
+	DispatchedOnArrival uint64
+	DispatchedAtTick    uint64
 }
 
 // topology is the dispatcher's elastic membership state: the subscriber
@@ -302,6 +311,13 @@ type Server struct {
 	notOwned     atomic.Uint64
 	fenced       atomic.Uint64
 	handedOff    atomic.Uint64
+	atArrival    atomic.Uint64
+	atTick       atomic.Uint64
+	// tickMissed counts scheduling cycles that were not run at their own
+	// time (see runTicks); tickLate is how far past due each wake found its
+	// oldest owed cycle.
+	tickMissed atomic.Uint64
+	tickLate   *telemetry.Histogram
 
 	mu sync.Mutex
 	ln net.Listener
@@ -404,7 +420,7 @@ type nodeAcct struct {
 // both, never neither.
 const (
 	pcWaiting    int32 = iota // queued or in flight, serving goroutine waiting
-	pcDispatched              // claimed by the dispatcher; node sent on the channel
+	pcDispatched              // dispatched: on arrival, or claimed by the tick loop and the node sent on the channel
 	pcAbandoned               // withdrawn by the serving goroutine; never relay
 	pcHandedOff               // withdrawn at Close for a migrating partition; redispatchable elsewhere
 )
@@ -422,8 +438,8 @@ type pendingConn struct {
 	sub                  qos.SubscriberID
 	// group is the subscriber's tenant group, the fencing unit.
 	group string
-	// node receives the dispatch decision (buffered; sent only after a
-	// successful CAS to pcDispatched).
+	// node receives the tick loop's dispatch decision for a request that had
+	// to wait (buffered; sent only after a successful CAS to pcDispatched).
 	node chan core.NodeID
 	// state is the pcWaiting/pcDispatched/pcAbandoned handshake word.
 	state atomic.Int32
@@ -560,6 +576,7 @@ func New(cfg Config) (*Server, error) {
 		adminConns: make(map[net.Conn]struct{}),
 		beConns:    make(map[net.Conn]struct{}),
 		idleExpiry: backendIdleExpiry,
+		tickLate:   telemetry.NewHistogram(),
 		admission:  newAdmission(cfg.MaxConns, cfg.Subscribers, cfg.ShardCount),
 		tracer: telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: cfg.TraceSampleEvery,
@@ -604,6 +621,9 @@ func (s *Server) Stats() Stats {
 		NotOwned:     s.notOwned.Load(),
 		Fenced:       s.fenced.Load(),
 		HandedOff:    s.handedOff.Load(),
+
+		DispatchedOnArrival: s.atArrival.Load(),
+		DispatchedAtTick:    s.atTick.Load(),
 	}
 }
 
@@ -785,16 +805,46 @@ func (s *Server) closeBackend(c net.Conn) {
 	_ = c.Close()
 }
 
-// tickLoop runs the scheduling cycle against wall time.
+// tickLoop runs the scheduling cycle against wall time: a ticker wakes it,
+// the monotonic clock says how many cycles are due.
 func (s *Server) tickLoop() {
 	defer s.loopWG.Done()
+	start := time.Now()
 	ticker := time.NewTicker(s.sched.Cycle())
 	defer ticker.Stop()
+	s.runTicks(ticker.C, func() time.Duration { return time.Since(start) })
+}
+
+// runTicks runs, on each wake, every scheduling cycle that has come due on
+// the clock (time since the loop started) and not yet been run. A wake only
+// says that time has passed, the clock says how much: a ticker holds one
+// tick, so counting wakes would let a pass that overran its cycle, or a
+// process that was descheduled, cost every subscriber that many cycles of
+// credit for good — and both Tick's reservation round and Submit gate on
+// that credit. The cycles owed are run back to back, each with its deliver
+// pass, at most a credit window's worth: past that the balance clamp would
+// discard the credit anyway. Every cycle not run at its own time is counted
+// missed, and how far past due the oldest one was is recorded as the wake's
+// lateness.
+func (s *Server) runTicks(wake <-chan time.Time, since func() time.Duration) {
+	cycle := s.sched.Cycle()
+	burst := max(int64(s.sched.CreditWindow()/cycle), 1)
+	var run int64 // cycles accounted for, run or discarded
 	for {
 		select {
 		case <-s.stopCh:
 			return
-		case <-ticker.C:
+		case <-wake:
+		}
+		elapsed := since()
+		owed := int64(elapsed/cycle) - run
+		if owed <= 0 {
+			continue // woken early, or by a tick the last catch-up covered
+		}
+		s.tickLate.Record(elapsed - time.Duration(run+1)*cycle)
+		s.tickMissed.Add(uint64(owed - 1))
+		run += owed
+		for n := min(owed, burst); n > 0; n-- {
 			for _, d := range s.sched.Tick() {
 				s.deliver(d)
 			}
@@ -813,6 +863,7 @@ func (s *Server) deliver(d core.Dispatch) {
 		return
 	}
 	if pc.state.CompareAndSwap(pcWaiting, pcDispatched) {
+		s.atTick.Add(1)
 		pc.node <- d.Node
 	} else {
 		s.sched.ReleaseDispatch(pc.sub, d.Node, d.Req.ID)
@@ -825,7 +876,10 @@ func (s *Server) deliver(d core.Dispatch) {
 // other nodes' feedback — sequential polling would stretch every node's
 // accounting cycle by DialTimeout per dead peer, exactly the feedback lag
 // Figure 3 shows destabilizes the guarantee. A node whose previous poll is
-// still in flight is skipped this cycle rather than probed again.
+// still in flight is skipped this cycle rather than probed again. Unlike
+// tickLoop this loop owes no catch-up for a wake it missed: the reports are
+// cumulative and diffed against the last one seen, so a dropped poll delays
+// the feedback and loses none of it.
 func (s *Server) acctLoop() {
 	defer s.loopWG.Done()
 	ticker := time.NewTicker(s.cfg.AcctCycle)
@@ -1134,7 +1188,7 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		trace:  tr,
 		tid:    tid,
 	}
-	err := s.sched.Enqueue(core.Request{
+	d, now, err := s.sched.Submit(core.Request{
 		ID:         pc.id,
 		Subscriber: sub,
 		Payload:    pc,
@@ -1146,6 +1200,16 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		return true
 	}
 	tr.Add(telemetry.StageQueue, 0, "")
+	if now {
+		// The subscriber's reservation covered the request on arrival: the
+		// decision is already made and charged, and it was never in a queue,
+		// so no tick, admin delete or hand-off sweep holds it — the state
+		// word is ours to set and there is nothing to wait for.
+		pc.state.Store(pcDispatched)
+		s.atArrival.Add(1)
+		tr.Add(telemetry.StageDispatch, int64(d.Node), "")
+		return s.relay(pc, d.Node)
+	}
 	timer := getTimer(s.cfg.QueueTimeout)
 	defer putTimer(timer)
 	select {
@@ -1402,6 +1466,10 @@ type statsJSON struct {
 	Shed         uint64                    `json:"shed"`
 	Subscribers  map[string]subscriberJSON `json:"subscribers"`
 	Nodes        map[string]nodeJSON       `json:"nodes"`
+
+	DispatchedOnArrival uint64 `json:"dispatchedOnArrival"`
+	DispatchedAtTick    uint64 `json:"dispatchedAtTick"`
+	TickMissed          uint64 `json:"tickMissed"`
 }
 
 type subscriberJSON struct {
@@ -1445,6 +1513,10 @@ func (s *Server) serveStats(conn net.Conn) {
 		Shed:         st.Shed,
 		Subscribers:  make(map[string]subscriberJSON, t.dir.Len()),
 		Nodes:        make(map[string]nodeJSON, len(t.addrs)),
+
+		DispatchedOnArrival: st.DispatchedOnArrival,
+		DispatchedAtTick:    st.DispatchedAtTick,
+		TickMissed:          s.tickMissed.Load(),
 	}
 	for _, id := range t.dir.IDs() {
 		sub, err := t.dir.Subscriber(id)

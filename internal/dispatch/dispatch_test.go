@@ -89,6 +89,44 @@ func waitServed(srv *Server, n uint64) {
 	}
 }
 
+// park makes every request that follows wait in its subscriber's queue,
+// whatever its credit: each node is marked draining, which pins its scheduler
+// weight at 0 (the accounting loop's re-apply included), so neither Submit
+// nor a tick finds a node with room. Nothing depends on how a scheduling
+// cycle falls against a timeout. The returned release lifts the marks; the
+// next tick then dispatches what is parked.
+func park(srv *Server) (release func()) {
+	mark := func(on bool) {
+		srv.adminMu.Lock()
+		defer srv.adminMu.Unlock()
+		cp := srv.top().clone()
+		for id := range cp.addrs {
+			if on {
+				cp.draining[id] = true
+			} else {
+				delete(cp.draining, id)
+			}
+		}
+		srv.topo.Store(cp)
+		for id, b := range cp.breakers {
+			srv.applyWeight(id, b)
+		}
+	}
+	mark(true)
+	return func() { mark(false) }
+}
+
+// waitQueued blocks until sub has a request waiting in its queue.
+func waitQueued(tb testing.TB, srv *Server, sub qos.SubscriberID) {
+	tb.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.sched.QueueLen(sub) == 0; {
+		if time.Now().After(deadline) {
+			tb.Fatal("request never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRelayEndToEnd(t *testing.T) {
 	addr, srv := cluster(t, 2, defaultSubs(), core.Config{})
 	resp, err := get(t, addr, "www.site1.example", "/static/2048.html")
@@ -564,22 +602,23 @@ func liveBackend(t testing.TB, id core.NodeID) string {
 }
 
 // TestAbandonedRequestReleasesCharge is the lifecycle regression test: a
-// request whose client gave up (queue-wait timeout) is later dispatched by
-// the scheduler, but the relay never runs — before the lifecycle fix the
-// predicted usage stayed in the node's outstanding load forever, shrinking
-// its capacity with every abandoned request.
+// request whose client gave up (queue-wait timeout) must leave nothing
+// behind — before the lifecycle fix a stale request dispatched after its
+// client had gone was never relayed, and its predicted usage stayed in the
+// node's outstanding load forever, shrinking its capacity with every
+// abandoned request.
 func TestAbandonedRequestReleasesCharge(t *testing.T) {
 	addr, srv := startServer(t, Config{
-		Subscribers: defaultSubs(),
-		Backends:    []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		// The first scheduling tick lands well after the queue timeout, so
-		// the client abandons while its request is still queued; the tick
-		// then dispatches the stale request.
-		Scheduler:    core.Config{Cycle: 200 * time.Millisecond},
+		Subscribers:  defaultSubs(),
+		Backends:     []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
 		QueueTimeout: 40 * time.Millisecond,
 		AcctCycle:    50 * time.Millisecond,
 	})
+	// The request waits out its queue timeout parked; the ticks that follow
+	// the release must find nothing of it to dispatch.
+	release := park(srv)
 	resp, err := get(t, addr, "www.site1.example", "/static/512.html")
+	release()
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -668,10 +707,10 @@ func TestTimedOutKeepAliveConnStaysUsable(t *testing.T) {
 	addr, srv := startServer(t, Config{
 		Subscribers:  defaultSubs(),
 		Backends:     []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:    core.Config{Cycle: 300 * time.Millisecond},
 		QueueTimeout: 50 * time.Millisecond,
 		AcctCycle:    50 * time.Millisecond,
 	})
+	defer park(srv)()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -712,34 +751,18 @@ func TestTimedOutKeepAliveConnStaysUsable(t *testing.T) {
 // frames responses by net/http's rules, not httpwire's: without
 // Content-Length: 0 it would read the 503's "body" until the dispatcher's
 // idle timeout closed the connection, and the 200 that follows on the same
-// connection would never be asked for. The scheduling cycle is an hour, so
-// the test ticks by hand and the queue is full exactly when it says so.
+// connection would never be asked for. The filler is parked, so the queue is
+// full exactly when the test says so.
 func TestRefusalEndsOnAKeptConnection(t *testing.T) {
 	subs := []qos.Subscriber{{ID: "tiny", Hosts: []string{"tiny.example"}, Reservation: 100, QueueLimit: 1}}
 	addr, srv := startServer(t, Config{
 		Subscribers: subs,
 		Backends:    []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:   core.Config{Cycle: time.Hour},
 		AcctCycle:   50 * time.Millisecond,
 	})
-	waitQueued := func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); srv.sched.QueueLen("tiny") != 1; {
-			if time.Now().After(deadline) {
-				t.Fatal("request never reached the queue")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	tick := func() {
-		t.Helper()
-		waitQueued()
-		for _, d := range srv.sched.Tick() {
-			srv.deliver(d)
-		}
-	}
 
 	// One request fills the queue and waits there.
+	release := park(srv)
 	filler := make(chan int, 1)
 	go func() {
 		resp, err := get(t, addr, "tiny.example", "/static/512.html")
@@ -749,7 +772,7 @@ func TestRefusalEndsOnAKeptConnection(t *testing.T) {
 		}
 		filler <- resp.StatusCode
 	}()
-	waitQueued()
+	waitQueued(t, srv, "tiny")
 
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -757,16 +780,13 @@ func TestRefusalEndsOnAKeptConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	exchange := func(queued bool) (int, int) {
+	exchange := func() (int, int) {
 		t.Helper()
 		// Far below the 60 s idle timeout that ends an unframed response.
 		_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
 		req := &httpwire.Request{Method: "GET", Target: "/static/512.html", Proto: "HTTP/1.1", Host: "tiny.example"}
 		if err := req.Write(conn); err != nil {
 			t.Fatalf("write: %v", err)
-		}
-		if queued {
-			tick()
 		}
 		resp, err := http.ReadResponse(br, nil)
 		if err != nil {
@@ -778,14 +798,14 @@ func TestRefusalEndsOnAKeptConnection(t *testing.T) {
 		}
 		return resp.StatusCode, len(body)
 	}
-	if code, n := exchange(false); code != 503 || n != 0 {
+	if code, n := exchange(); code != 503 || n != 0 {
 		t.Fatalf("against a full queue: status %d with %d body bytes, want an empty 503", code, n)
 	}
-	tick()
+	release()
 	if code := <-filler; code != 200 {
 		t.Fatalf("queued request: status %d, want 200", code)
 	}
-	if code, n := exchange(true); code != 200 || n != 512 {
+	if code, n := exchange(); code != 200 || n != 512 {
 		t.Fatalf("after the refusal, same connection: status %d with %d body bytes, want 200 with 512", code, n)
 	}
 	if st := srv.Stats(); st.Rejected != 1 {

@@ -55,11 +55,15 @@ func (s *Server) buildExposition() ([]byte, error) {
 		{"gage_traces_settled_total", "Sampled traces that reached a terminal outcome.", settled},
 		{"gage_trace_dropped_total", "Completed traces evicted from the retention ring before being read.", s.tracer.Dropped()},
 		{"gage_event_dropped_total", "Bus events overwritten in the ring before being spilled or read.", s.bus.Dropped()},
+		{"gage_tick_missed_total", "Scheduling cycles not run at their own time: run late in a catch-up burst, or discarded past the credit window.", s.tickMissed.Load()},
 	}...)
 	for _, c := range counters {
 		e.Family(c.name, "counter", c.help)
 		e.Add(c.name, nil, float64(c.value))
 	}
+	e.Family("gage_dispatch_total", "counter", "Dispatch decisions handed to a waiting request, by when they were made: on arrival (the subscriber's reservation already covered it) or at a scheduling tick (it waited in the queue).")
+	e.Add("gage_dispatch_total", []telemetry.Label{{Name: "at", Value: "arrival"}}, float64(st.DispatchedOnArrival))
+	e.Add("gage_dispatch_total", []telemetry.Label{{Name: "at", Value: "tick"}}, float64(st.DispatchedAtTick))
 
 	e.Family("gage_trace_sample_period", "gauge", "Every Nth request is traced; 0 means tracing is off.")
 	e.Add("gage_trace_sample_period", nil, float64(s.tracer.SampleEvery()))
@@ -150,6 +154,8 @@ func (s *Server) buildExposition() ([]byte, error) {
 			e.Summary("gage_relay_latency_seconds", nodeLabel(id), h.Snapshot(), latencyQuantiles)
 		}
 	}
+	e.Family("gage_tick_late_seconds", "summary", "How far past due the scheduling loop found its oldest owed cycle, per wake.")
+	e.Summary("gage_tick_late_seconds", nil, s.tickLate.Snapshot(), latencyQuantiles)
 	s.addConformance(e)
 	return e.Bytes()
 }

@@ -189,10 +189,10 @@ func TestTraceQueueTimeout(t *testing.T) {
 	addr, srv := startTB(t, Config{
 		Subscribers:      defaultSubs(),
 		Backends:         []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:        core.Config{Cycle: 500 * time.Millisecond},
 		QueueTimeout:     40 * time.Millisecond,
 		TraceSampleEvery: 1,
 	})
+	defer park(srv)()
 	resp, err := rawGet(t, addr, "www.site1.example", "/static/512.html")
 	if err != nil {
 		t.Fatalf("get: %v", err)
@@ -213,29 +213,23 @@ func TestTraceRejectedAndUnclassified(t *testing.T) {
 	addr, srv := startTB(t, Config{
 		Subscribers:      subs,
 		Backends:         []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:        core.Config{Cycle: time.Second},
 		QueueTimeout:     2 * time.Second,
 		TraceSampleEvery: 1,
 	})
-	// First request fills the queue (limit 1) and waits out the slow cycle.
+	// First request fills the queue (limit 1) and is parked there.
+	release := park(srv)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, _ = rawGet(t, addr, "tiny.example", "/x")
 	}()
-	// Second request overflows the queue once the first is parked in it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := rawGet(t, addr, "tiny.example", "/x")
-		if err != nil {
-			t.Fatalf("get: %v", err)
-		}
-		if resp.StatusCode == 503 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitQueued(t, srv, "tiny")
+	// Second request overflows the queue.
+	if resp, err := rawGet(t, addr, "tiny.example", "/x"); err != nil || resp.StatusCode != 503 {
+		t.Fatalf("against a full queue: resp=%+v err=%v, want 503", resp, err)
 	}
+	release()
 	tr := waitTrace(t, srv, telemetry.OutcomeRejected)
 	assertStages(t, tr, telemetry.StageClassify, telemetry.StageSettle)
 	if tr.Subscriber != "tiny" {
@@ -259,28 +253,26 @@ func TestTraceShed(t *testing.T) {
 	addr, srv := startTB(t, Config{
 		Subscribers:      defaultSubs(),
 		Backends:         []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:        core.Config{Cycle: 500 * time.Millisecond},
 		QueueTimeout:     2 * time.Second,
 		MaxConns:         2,
 		TraceSampleEvery: 1,
 	})
+	// The first request is parked in the queue holding site2's one slot; the
+	// second is the one shed.
+	release := park(srv)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, _ = rawGet(t, addr, "www.site2.example", "/static/512.html")
 	}()
-	// Either this loop's request or the background one gets shed —
-	// whichever was admitted second; the stats counter is the signal.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Shed == 0 {
-		if _, err := rawGet(t, addr, "www.site2.example", "/static/512.html"); err != nil {
-			t.Fatalf("get: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no admission shed; stats=%+v", srv.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitQueued(t, srv, "site2")
+	if resp, err := rawGet(t, addr, "www.site2.example", "/static/512.html"); err != nil || resp.StatusCode != 503 {
+		t.Fatalf("second site2 request: resp=%+v err=%v, want 503", resp, err)
+	}
+	release()
+	if got := srv.Stats().Shed; got != 1 {
+		t.Fatalf("shed = %d, want 1; stats=%+v", got, srv.Stats())
 	}
 	tr := waitTrace(t, srv, telemetry.OutcomeShed)
 	assertStages(t, tr, telemetry.StageClassify, telemetry.StageSettle)
@@ -296,11 +288,11 @@ func TestTraceDrainAbort(t *testing.T) {
 	addr, srv := startTB(t, Config{
 		Subscribers:      defaultSubs(),
 		Backends:         []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
-		Scheduler:        core.Config{Cycle: 10 * time.Second},
 		QueueTimeout:     10 * time.Second,
 		DrainTimeout:     50 * time.Millisecond,
 		TraceSampleEvery: 1,
 	})
+	park(srv)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -308,13 +300,7 @@ func TestTraceDrainAbort(t *testing.T) {
 		_, _ = rawGet(t, addr, "www.site1.example", "/static/512.html")
 	}()
 	// Let the request reach the queue before closing.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Scheduler().QueueLen("site1") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitQueued(t, srv, "site1")
 	_ = srv.Close()
 	wg.Wait()
 	tr := waitTrace(t, srv, telemetry.OutcomeDrainAbort)

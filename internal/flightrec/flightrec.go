@@ -27,9 +27,10 @@ import (
 
 // SubRecord is one subscriber's slice of a cycle record. Usage and Completed
 // accumulate everything the accounting messages delivered since the previous
-// record; the dispatch counts are this cycle's decisions split by funding
-// round. Reservation is embedded so a recorded log is self-describing — an
-// offline audit needs no side-channel configuration.
+// record; the dispatch counts are the decisions made since then — on arrival
+// between the two ticks and by this cycle's rounds — split by funding round.
+// Reservation is embedded so a recorded log is self-describing — an offline
+// audit needs no side-channel configuration.
 type SubRecord struct {
 	ID          qos.SubscriberID `json:"id"`
 	Reservation qos.GRPS         `json:"res"`
@@ -38,14 +39,16 @@ type SubRecord struct {
 	Balance qos.Vector `json:"balance"`
 	// Predicted is the EWMA per-request usage estimate.
 	Predicted qos.Vector `json:"predicted"`
-	// Credited is the effective credit granted this cycle: the balance delta
-	// of the reservation-round credit step after clamping.
+	// Credited is the effective credit granted since the previous record: the
+	// balance delta, after clamping, of every credit settlement — this
+	// cycle's reservation round and any made between ticks.
 	Credited qos.Vector `json:"credited"`
 	// Usage is the actual consumption reported since the previous record.
 	Usage qos.Vector `json:"usage"`
 	// QueueLen is the backlog left after this cycle's dispatch rounds.
 	QueueLen int `json:"queueLen"`
-	// Reserved and Spare count this cycle's dispatches by funding round.
+	// Reserved and Spare count the dispatches since the previous record by
+	// funding round; dispatches made on arrival are reservation-funded.
 	Reserved int `json:"reserved"`
 	Spare    int `json:"spare"`
 	// Completed counts requests reported finished since the previous record.
