@@ -1,5 +1,5 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint bench-build bench-sched bench-hier bench-obs bench-frontier bench-pin stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint loc bench-build bench-sched bench-hier bench-obs bench-frontier bench-pin stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
 verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
 
@@ -164,8 +164,14 @@ audit-smoke:
 		-cycles "$$tmp/cycles.jsonl" "$$tmp/trace.jsonl" && \
 	go run ./cmd/gagetrace audit -warmup 1s "$$tmp/cycles.jsonl"
 
-# Static hygiene gate: vet plus gofmt drift.
+# Static hygiene gate: gofmt drift (`vet` is its own target).
 lint:
-	go vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines per top-level package, and for the root module (internal +
+# cmd + examples): the figures ROADMAP's line budgets are read off.
+loc:
+	@for d in internal/* cmd/* bench examples; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; done
+	@printf '%6d root module\n' "$$(find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"

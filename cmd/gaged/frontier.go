@@ -20,7 +20,6 @@ package main
 // overlap window is smaller than a queue drain.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -59,34 +58,30 @@ func (tc tierFileConfig) leaseInterval() time.Duration {
 	return time.Duration(tc.LeaseMillis) * time.Millisecond
 }
 
-// parseTier extracts and validates the tier knobs.
-func parseTier(raw []byte) (tierFileConfig, error) {
-	var tc tierFileConfig
-	if err := json.Unmarshal(raw, &tc); err != nil {
-		return tierFileConfig{}, err
-	}
+// validate checks the tier knobs and defaults leaseAddr to leaseListen.
+func (tc *tierFileConfig) validate() error {
 	if tc.RDNCount < 0 {
-		return tierFileConfig{}, fmt.Errorf("rdnCount must not be negative (got %d)", tc.RDNCount)
+		return fmt.Errorf("rdnCount must not be negative (got %d)", tc.RDNCount)
 	}
 	if tc.LeaseMillis < 0 {
-		return tierFileConfig{}, fmt.Errorf("leaseMillis must not be negative (got %d)", tc.LeaseMillis)
+		return fmt.Errorf("leaseMillis must not be negative (got %d)", tc.LeaseMillis)
 	}
 	if !tc.enabled() {
 		if tc.RDNID != 0 || tc.LeaseListen != "" || tc.LeaseAddr != "" {
-			return tierFileConfig{}, fmt.Errorf("rdnId/leaseListen/leaseAddr require rdnCount >= 2 (got rdnCount %d)", tc.RDNCount)
+			return fmt.Errorf("rdnId/leaseListen/leaseAddr require rdnCount >= 2 (got rdnCount %d)", tc.RDNCount)
 		}
-		return tc, nil
+		return nil
 	}
 	if tc.RDNID < 1 || tc.RDNID > tc.RDNCount {
-		return tierFileConfig{}, fmt.Errorf("rdnId must be 1..%d (got %d)", tc.RDNCount, tc.RDNID)
+		return fmt.Errorf("rdnId must be 1..%d (got %d)", tc.RDNCount, tc.RDNID)
 	}
 	if tc.LeaseAddr == "" {
 		if tc.LeaseListen == "" {
-			return tierFileConfig{}, fmt.Errorf("leaseAddr is required (or leaseListen to host the table)")
+			return fmt.Errorf("leaseAddr is required (or leaseListen to host the table)")
 		}
 		tc.LeaseAddr = tc.LeaseListen
 	}
-	return tc, nil
+	return nil
 }
 
 // subscriberGroups returns the distinct tenant groups of the population, in

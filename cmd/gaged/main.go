@@ -23,7 +23,6 @@
 //	  "queueTimeoutMillis": 30000,
 //	  "retryBackoffMillis": 25,
 //	  "maxConns": 1024,
-//	  "shardCount": 16,
 //	  "drainTimeoutMillis": 5000,
 //	  "clientIdleTimeoutMillis": 60000,
 //	  "backendTimeoutMillis": 60000,
@@ -93,11 +92,8 @@ type fileConfig struct {
 	DialTimeoutMillis  int `json:"dialTimeoutMillis"`
 	QueueTimeoutMillis int `json:"queueTimeoutMillis"`
 	RetryBackoffMillis int `json:"retryBackoffMillis"`
-	// Overload control and graceful degradation. ShardCount is the
-	// admission/accounting shard count (rounded up to a power of two;
-	// 0 = library default).
+	// Overload control and graceful degradation.
 	MaxConns                int `json:"maxConns"`
-	ShardCount              int `json:"shardCount"`
 	DrainTimeoutMillis      int `json:"drainTimeoutMillis"`
 	ClientIdleTimeoutMillis int `json:"clientIdleTimeoutMillis"`
 	BackendTimeoutMillis    int `json:"backendTimeoutMillis"`
@@ -133,6 +129,8 @@ type fileConfig struct {
 	// policy will grant, in (0, 1]; 0 means the policy default 1.0.
 	AdminListen   string  `json:"adminListen"`
 	AdmitHeadroom float64 `json:"admitHeadroom"`
+	// The multi-RDN tier section (see frontier.go).
+	tierFileConfig
 }
 
 func main() {
@@ -156,14 +154,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg, err := parseConfig(raw)
+	fc, err := parseFile(raw)
 	if err != nil {
 		return fmt.Errorf("parse %s: %w", *config, err)
 	}
-	tcfg, err := parseTier(raw)
+	cfg, err := fc.dispatchConfig()
 	if err != nil {
 		return fmt.Errorf("parse %s: %w", *config, err)
 	}
+	tcfg := fc.tierFileConfig
 	var tr *tierRunner
 	if tcfg.enabled() {
 		tr = newTierRunner(tcfg, subscriberGroups(cfg.Subscribers))
@@ -196,12 +195,8 @@ func run() error {
 		}()
 		fmt.Printf("gaged: pprof on %s\n", *pprofAddr)
 	}
-	adminAddr, err := parseAdminListen(raw)
-	if err != nil {
-		return fmt.Errorf("parse %s: %w", *config, err)
-	}
-	if adminAddr != "" {
-		adminLn, err := net.Listen("tcp", adminAddr)
+	if fc.AdminListen != "" {
+		adminLn, err := net.Listen("tcp", fc.AdminListen)
 		if err != nil {
 			return fmt.Errorf("adminListen: %w", err)
 		}
@@ -221,16 +216,24 @@ func run() error {
 	return srv.Serve(ln)
 }
 
-// parseConfig converts the on-disk JSON into a dispatcher configuration.
-// Knobs left at 0 stay zero so the library defaults apply; negative knobs
-// are configuration errors (except slowStartCycles = -1, the documented
-// ramp-off switch) — a typo like "queueTimeoutMillis": -30000 must fail
-// loudly at startup, not silently become an infinite or default timeout.
-func parseConfig(raw []byte) (dispatch.Config, error) {
+// parseFile reads the on-disk JSON, once, and validates its tier section.
+func parseFile(raw []byte) (fileConfig, error) {
 	var fc fileConfig
 	if err := json.Unmarshal(raw, &fc); err != nil {
-		return dispatch.Config{}, err
+		return fileConfig{}, err
 	}
+	if err := fc.tierFileConfig.validate(); err != nil {
+		return fileConfig{}, err
+	}
+	return fc, nil
+}
+
+// dispatchConfig converts the file into a dispatcher configuration. Knobs
+// left at 0 stay zero so the library defaults apply; negative knobs are
+// configuration errors (except slowStartCycles = -1, the documented ramp-off
+// switch) — a typo like "queueTimeoutMillis": -30000 must fail loudly at
+// startup, not silently become an infinite or default timeout.
+func (fc fileConfig) dispatchConfig() (dispatch.Config, error) {
 	cfg := dispatch.Config{}
 	for _, s := range fc.Subscribers {
 		if s.ReservationGRPS < 0 {
@@ -291,7 +294,6 @@ func parseConfig(raw []byte) (dispatch.Config, error) {
 	millis("breakerCooldownMillis", fc.BreakerCooldownMillis, &cfg.Breaker.Cooldown)
 	millis("conformanceWindowMillis", fc.ConformanceWindowMillis, &cfg.ConformanceWindow)
 	count("maxConns", fc.MaxConns, &cfg.MaxConns)
-	count("shardCount", fc.ShardCount, &cfg.ShardCount)
 	count("breakerThreshold", fc.BreakerThreshold, &cfg.Breaker.Threshold)
 	count("traceSampleEvery", fc.TraceSampleEvery, &cfg.TraceSampleEvery)
 	count("traceBuffer", fc.TraceBuffer, &cfg.TraceBuffer)
@@ -328,14 +330,4 @@ func parseConfig(raw []byte) (dispatch.Config, error) {
 	}
 	cfg.AdmitHeadroom = fc.AdmitHeadroom
 	return cfg, nil
-}
-
-// parseAdminListen extracts the admin control-plane listener address; empty
-// means the admin API is disabled.
-func parseAdminListen(raw []byte) (string, error) {
-	var fc fileConfig
-	if err := json.Unmarshal(raw, &fc); err != nil {
-		return "", err
-	}
-	return fc.AdminListen, nil
 }

@@ -8,8 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"gage/internal/dispatch"
 	"gage/internal/qos"
 )
+
+// parseConfig is the path run takes from the file's bytes to the dispatcher
+// configuration.
+func parseConfig(raw []byte) (dispatch.Config, error) {
+	fc, err := parseFile(raw)
+	if err != nil {
+		return dispatch.Config{}, err
+	}
+	return fc.dispatchConfig()
+}
 
 func TestParseConfig(t *testing.T) {
 	raw := []byte(`{
@@ -283,15 +294,15 @@ func TestParseConfigAdminKnobs(t *testing.T) {
 		}
 	}
 
-	addr, err := parseAdminListen([]byte(`{"adminListen":"127.0.0.1:8081"}`))
+	fc, err := parseFile([]byte(`{"adminListen":"127.0.0.1:8081"}`))
 	if err != nil {
-		t.Fatalf("parseAdminListen: %v", err)
+		t.Fatalf("parseFile: %v", err)
 	}
-	if addr != "127.0.0.1:8081" {
+	if addr := fc.AdminListen; addr != "127.0.0.1:8081" {
 		t.Errorf("adminListen = %q, want 127.0.0.1:8081", addr)
 	}
-	if addr, _ := parseAdminListen([]byte(`{}`)); addr != "" {
-		t.Errorf("unset adminListen = %q, want empty (admin API off)", addr)
+	if fc, _ := parseFile([]byte(`{}`)); fc.AdminListen != "" {
+		t.Errorf("unset adminListen = %q, want empty (admin API off)", fc.AdminListen)
 	}
 }
 
@@ -314,9 +325,10 @@ func TestParseTier(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseTier([]byte(tc.json))
+			fc, err := parseFile([]byte(tc.json))
+			got := fc.tierFileConfig
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("parseTier(%s) error = %v, wantErr %v", tc.json, err, tc.wantErr)
+				t.Fatalf("parseFile(%s) error = %v, wantErr %v", tc.json, err, tc.wantErr)
 			}
 			if err != nil {
 				return

@@ -12,9 +12,8 @@ import (
 
 // checkSchedulerInvariants asserts the scheduler's internal accounting
 // identities, which every interleaving of Enqueue/Submit/Tick/ReportUsage/
-// CancelQueued/ReleaseDispatch/Redispatch/MigrateSubscriber/MergeGroups/
-// AddSubscriber/ResizeReservation/RemoveSubscriber/AddNode/DrainNode/
-// RemoveNode must preserve:
+// CancelQueued/ReleaseDispatch/Redispatch/AddSubscriber/ResizeReservation/
+// RemoveSubscriber/AddNode/DrainNode/RemoveNode must preserve:
 //
 //  1. every balance sits inside its clamp band ±reservation×CreditWindow;
 //  2. each subscriber's per-node estimate equals the sum of its pending
@@ -306,27 +305,6 @@ func TestSchedulerOpInterleavingsPreserveInvariants(t *testing.T) {
 					if alt, ok := s.Redispatch(e.sub, e.id, n); ok {
 						inflight[alt] = append(inflight[alt], e)
 					} // else: no alternate had room; the charge is released
-				case k < 90: // reshape the group hierarchy mid-flight
-					if rng.Intn(2) == 0 {
-						// Migrate to one of a few tenant names (created on
-						// demand) or back to the default group; a subscriber's
-						// backlog and in-flight charges ride along untouched.
-						sub := subIDs[rng.Intn(len(subIDs))]
-						grp := ""
-						if g := rng.Intn(4); g > 0 {
-							grp = fmt.Sprintf("t%d", g)
-						}
-						if err := s.MigrateSubscriber(sub, grp); err != nil {
-							t.Fatalf("%s: MigrateSubscriber(%s, %q): %v", step, sub, grp, err)
-						}
-					} else {
-						gs := s.Groups()
-						src := gs[rng.Intn(len(gs))]
-						dst := gs[rng.Intn(len(gs))]
-						if err := s.MergeGroups(src, dst); err != nil {
-							t.Fatalf("%s: MergeGroups(%q, %q): %v", step, src, dst, err)
-						}
-					}
 				case k < 95: // hosting churn: sign, resize, or drop a subscriber
 					switch rng.Intn(3) {
 					case 0: // sign a dynamic subscriber (if a slot is free)
@@ -407,8 +385,8 @@ func TestSchedulerOpInterleavingsPreserveInvariants(t *testing.T) {
 						delete(inflight, n) // charges released, requests never settle
 					default: // flap health
 						n := nodeIDs[rng.Intn(len(nodeIDs))]
-						if err := s.SetNodeEnabled(n, rng.Intn(2) == 0); err != nil {
-							t.Fatalf("%s: SetNodeEnabled: %v", step, err)
+						if err := s.SetNodeWeight(n, float64(rng.Intn(2))); err != nil {
+							t.Fatalf("%s: SetNodeWeight: %v", step, err)
 						}
 					}
 				}

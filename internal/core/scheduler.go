@@ -72,62 +72,6 @@ type Dispatch struct {
 	Predicted qos.Vector
 }
 
-// SubscriberUsage is a subscriber's actual consumption on one RPN during one
-// accounting cycle.
-type SubscriberUsage struct {
-	// Usage is the resources consumed by the subscriber's completed work.
-	Usage qos.Vector
-	// Completed is how many of the subscriber's requests finished.
-	Completed int
-}
-
-// UsageReport is one accounting message from an RPN (§3.5): the node's total
-// resource usage in the last accounting cycle plus the per-subscriber split.
-type UsageReport struct {
-	Node         NodeID
-	Total        qos.Vector
-	BySubscriber map[qos.SubscriberID]SubscriberUsage
-}
-
-// DiffUsageReports converts a node's cumulative usage report into the delta
-// since the previous snapshot — the one differ behind both the live
-// dispatcher's accounting poller and the simulator's feedback book. A
-// restart (counters going backwards, for the node or for one subscriber) is
-// treated as a fresh start: the new cumulative IS the delta. The
-// per-subscriber deltas are written into scratch (cleared first; nil
-// allocates fresh), so a poller can recycle one map per node.
-func DiffUsageReports(cum, prev UsageReport, scratch map[qos.SubscriberID]SubscriberUsage) UsageReport {
-	if scratch == nil {
-		scratch = make(map[qos.SubscriberID]SubscriberUsage, len(cum.BySubscriber))
-	} else {
-		clear(scratch)
-	}
-	delta := UsageReport{
-		Node:         cum.Node,
-		Total:        cum.Total.Sub(prev.Total),
-		BySubscriber: scratch,
-	}
-	if delta.Total.AnyNegative() {
-		delta.Total = cum.Total
-		prev = UsageReport{}
-	}
-	for id, u := range cum.BySubscriber {
-		p := prev.BySubscriber[id]
-		d := SubscriberUsage{
-			Usage:     u.Usage.Sub(p.Usage),
-			Completed: u.Completed - p.Completed,
-		}
-		if d.Usage.AnyNegative() || d.Completed < 0 {
-			d = u // restarted: take the fresh cumulative
-		}
-		if d.Usage.IsZero() && d.Completed == 0 {
-			continue
-		}
-		delta.BySubscriber[id] = d
-	}
-	return delta
-}
-
 // NodeConfig declares one RPN's capacity to the node scheduler.
 type NodeConfig struct {
 	// ID is the node's identity in dispatches and usage reports.
@@ -1614,17 +1558,6 @@ func (s *Scheduler) NodeWeight(id NodeID) (float64, bool) {
 	return nd.weight, true
 }
 
-// SetNodeEnabled enables (weight 1) or disables (weight 0) dispatching to a
-// node — the pre-slow-start health interface, kept for callers that only
-// need the binary form.
-func (s *Scheduler) SetNodeEnabled(id NodeID, enabled bool) error {
-	w := 0.0
-	if enabled {
-		w = 1.0
-	}
-	return s.SetNodeWeight(id, w)
-}
-
 // NodeEnabled reports whether a node currently receives any dispatches.
 func (s *Scheduler) NodeEnabled(id NodeID) bool {
 	w, ok := s.NodeWeight(id)
@@ -1693,86 +1626,6 @@ func (s *Scheduler) RemoveSubscriber(id qos.SubscriberID) ([]Request, error) {
 	return orphans, nil
 }
 
-// MigrateSubscriber moves a subscriber to another group, creating it on
-// demand. Balance, queued requests, and in-flight charges ride along
-// untouched: migration changes only which aggregate the reservation counts
-// toward and which round-robin list the queue rotates in, so the member's
-// own guarantee is unaffected. The vacated group is deleted when the last
-// member leaves it.
-func (s *Scheduler) MigrateSubscriber(id qos.SubscriberID, group string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	def, ok := s.defs[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSubscriber, id)
-	}
-	s.migrateLocked(id, def, group)
-	return nil
-}
-
-// migrateLocked is MigrateSubscriber's body. Callers hold s.mu.
-func (s *Scheduler) migrateLocked(id qos.SubscriberID, def *subDef, group string) {
-	old := def.grp
-	if old.name == group {
-		return
-	}
-	ng := s.groups[group]
-	if ng == nil {
-		ng = &groupState{name: group}
-		s.groups[group] = ng
-	}
-	q := s.subs[id]
-	wasActive := q != nil && q.inActive
-	if wasActive {
-		s.deactivate(q)
-	}
-	old.aggRes -= def.res
-	old.members--
-	if old.members <= 0 {
-		s.deactivateGroup(old)
-		delete(s.groups, old.name)
-	} else if old.aggRes < 0 {
-		old.aggRes = 0 // float cancellation floor
-	}
-	ng.aggRes += def.res
-	ng.members++
-	def.grp = ng
-	if q != nil {
-		q.grp = ng
-		if wasActive {
-			s.activate(q)
-		}
-	}
-}
-
-// MergeGroups migrates every member of src into dst (created on demand),
-// deleting src. Guarantees compose: dst's aggregate reservation becomes the
-// sum of both groups', so the merged group's reservation-round entitlement is
-// exactly what its members held before — no member's guarantee changes. The
-// walk over the registered population makes this O(registered), a
-// control-plane operation that never runs on the dispatch path.
-func (s *Scheduler) MergeGroups(src, dst string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.groups[src]; !ok {
-		return fmt.Errorf("core: unknown group %q", src)
-	}
-	if src == dst {
-		return nil
-	}
-	var members []qos.SubscriberID
-	for id, def := range s.defs {
-		if def.grp.name == src {
-			members = append(members, id)
-		}
-	}
-	slices.Sort(members)
-	for _, id := range members {
-		s.migrateLocked(id, s.defs[id], dst)
-	}
-	return nil
-}
-
 // Groups returns the registered group names in sorted order.
 func (s *Scheduler) Groups() []string {
 	s.mu.Lock()
@@ -1805,17 +1658,6 @@ func (s *Scheduler) GroupReservation(name string) (qos.GRPS, bool) {
 		return 0, false
 	}
 	return g.aggRes, true
-}
-
-// GroupMembers returns a group's registered member count.
-func (s *Scheduler) GroupMembers(name string) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[name]
-	if !ok {
-		return 0, false
-	}
-	return g.members, true
 }
 
 // Registered returns the registered subscriber population size.

@@ -430,8 +430,8 @@ func TestDisabledNodeReceivesNoDispatches(t *testing.T) {
 	s := mustScheduler(t,
 		[]qos.Subscriber{{ID: "a", Reservation: 1000}},
 		twoNodes(), Config{})
-	if err := s.SetNodeEnabled(1, false); err != nil {
-		t.Fatalf("SetNodeEnabled: %v", err)
+	if err := s.SetNodeWeight(1, 0); err != nil {
+		t.Fatalf("SetNodeWeight: %v", err)
 	}
 	if s.NodeEnabled(1) {
 		t.Error("node 1 must report disabled")
@@ -447,13 +447,13 @@ func TestDisabledNodeReceivesNoDispatches(t *testing.T) {
 		}
 	}
 	// Re-enabled nodes participate again.
-	if err := s.SetNodeEnabled(1, true); err != nil {
+	if err := s.SetNodeWeight(1, 1); err != nil {
 		t.Fatalf("re-enable: %v", err)
 	}
 	if !s.NodeEnabled(1) {
 		t.Error("node 1 must report enabled")
 	}
-	if err := s.SetNodeEnabled(99, false); !errors.Is(err, ErrUnknownNode) {
+	if err := s.SetNodeWeight(99, 0); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown node = %v, want ErrUnknownNode", err)
 	}
 }
@@ -462,8 +462,8 @@ func TestAllNodesDisabledLeavesRequestsQueued(t *testing.T) {
 	s := mustScheduler(t,
 		[]qos.Subscriber{{ID: "a", Reservation: 1000}},
 		twoNodes(), Config{})
-	_ = s.SetNodeEnabled(1, false)
-	_ = s.SetNodeEnabled(2, false)
+	_ = s.SetNodeWeight(1, 0)
+	_ = s.SetNodeWeight(2, 0)
 	if err := s.Enqueue(Request{ID: 1, Subscriber: "a"}); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
@@ -1112,12 +1112,11 @@ func TestNodeWeightZeroBehavesLikeDisabled(t *testing.T) {
 			t.Fatalf("request %d dispatched to weight-0 node", d.Req.ID)
 		}
 	}
-	// The binary wrapper restores full weight.
-	if err := s.SetNodeEnabled(1, true); err != nil {
-		t.Fatalf("SetNodeEnabled: %v", err)
+	if err := s.SetNodeWeight(1, 1); err != nil {
+		t.Fatalf("SetNodeWeight: %v", err)
 	}
 	if w, ok := s.NodeWeight(1); !ok || w != 1 {
-		t.Errorf("weight after SetNodeEnabled(true) = %v/%v, want 1", w, ok)
+		t.Errorf("weight after SetNodeWeight(1) = %v/%v, want 1", w, ok)
 	}
 }
 

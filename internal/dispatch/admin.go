@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -234,22 +235,6 @@ func (s *Server) admitCfg() admitctl.Config {
 	return admitctl.Config{Headroom: s.cfg.AdmitHeadroom}
 }
 
-// respondJSON writes a JSON response body with the given status.
-func (s *Server) respondJSON(conn net.Conn, code int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		s.respondError(conn, 500)
-		return
-	}
-	resp := &httpwire.Response{
-		StatusCode: code,
-		Header:     map[string]string{"Content-Type": "application/json"},
-		Body:       body,
-	}
-	// The operator's client may be gone; nothing more to do.
-	_ = resp.Write(conn)
-}
-
 // publishAdmin mirrors one control-plane decision onto the event bus, so a
 // merged event log shows the operator's request next to the cycles and tier
 // transitions it caused — or, for a refusal, the wall it hit.
@@ -269,17 +254,10 @@ func (s *Server) publishAdmin(res adminResult) {
 	s.bus.Publish(ev)
 }
 
-// respondAdmin answers an accepted admin request and records the decision
-// on the event bus.
-func (s *Server) respondAdmin(conn net.Conn, res adminResult) {
-	s.publishAdmin(res)
-	s.respondJSON(conn, 200, res)
-}
-
-// respondAdminError answers a refused admin request without mutating
-// anything; the refusal still lands on the event bus — a denied scale-up is
+// respondAdmin answers an admin request — accepted, or refused with nothing
+// mutated — and records the decision on the event bus: a denied scale-up is
 // exactly the kind of context a violation investigation needs.
-func (s *Server) respondAdminError(conn net.Conn, code int, res adminResult) {
+func (s *Server) respondAdmin(conn net.Conn, code int, res adminResult) {
 	s.publishAdmin(res)
 	s.respondJSON(conn, code, res)
 }
@@ -313,7 +291,7 @@ func (s *Server) serveAdmin(conn net.Conn, req *httpwire.Request) {
 	case len(seg) == 3 && seg[0] == "nodes" && req.Method == "POST":
 		id, err := strconv.ParseInt(seg[1], 10, 32)
 		if err != nil || id < 0 {
-			s.respondAdminError(conn, 400, adminResult{Op: seg[2], Error: fmt.Sprintf("bad node id %q", seg[1])})
+			s.respondAdmin(conn, 400, adminResult{Op: seg[2], Error: fmt.Sprintf("bad node id %q", seg[1])})
 			return
 		}
 		switch seg[2] {
@@ -354,7 +332,7 @@ func (s *Server) annotate(ev flightrec.TierEvent) {
 func (s *Server) adminCreateSubscriber(conn net.Conn, body []byte) {
 	sub, err := decodeSubscriberCreate(body)
 	if err != nil {
-		s.respondAdminError(conn, 400, adminResult{Op: "subscriber-create", Error: err.Error()})
+		s.respondAdmin(conn, 400, adminResult{Op: "subscriber-create", Error: err.Error()})
 		return
 	}
 	res := adminResult{Op: "subscriber-create", Subscriber: string(sub.ID)}
@@ -362,39 +340,33 @@ func (s *Server) adminCreateSubscriber(conn net.Conn, body []byte) {
 	defer s.adminMu.Unlock()
 	res.Decision = admitctl.Evaluate(s.admitCfg(), s.sched.TotalReservation(), sub.Reservation, s.sched.EnabledCapacity())
 	if !res.Accepted {
-		s.respondAdminError(conn, decisionStatus(res.Decision), res)
+		s.respondAdmin(conn, decisionStatus(res.Decision), res)
 		return
 	}
 	// Build the new directory before touching the scheduler: a duplicate ID
 	// or host fails here and nothing has changed.
 	t := s.top()
-	newDir, err := qos.NewDirectory(append(directorySubs(t.dir), sub))
+	subs := append(directorySubs(t.dir), sub)
+	cp, err := t.withSubscribers(subs)
+	if err == nil {
+		err = s.sched.AddSubscriber(sub)
+	}
 	if err != nil {
 		res.Error = err.Error()
-		s.respondAdminError(conn, 409, res)
+		s.respondAdmin(conn, 409, res)
 		return
 	}
-	if err := s.sched.AddSubscriber(sub); err != nil {
-		res.Error = err.Error()
-		s.respondAdminError(conn, 409, res)
-		return
-	}
-	cp := t.clone()
-	cp.dir = newDir
-	cp.classifier = classify.NewHostClassifier(newDir)
-	cp.groupOf[sub.ID] = sub.Group
-	cp.reqLat[sub.ID] = telemetry.NewHistogram()
 	s.topo.Store(cp)
-	s.admission.rebalance(directorySubs(newDir))
+	s.admission.rebalance(subs)
 	s.annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
-	s.respondAdmin(conn, res)
+	s.respondAdmin(conn, 200, res)
 }
 
 // adminResizeSubscriber changes a live reservation, gated on the delta.
 func (s *Server) adminResizeSubscriber(conn net.Conn, id qos.SubscriberID, body []byte) {
 	newRes, err := decodeSubscriberResize(body)
 	if err != nil {
-		s.respondAdminError(conn, 400, adminResult{Op: "subscriber-resize", Subscriber: string(id), Error: err.Error()})
+		s.respondAdmin(conn, 400, adminResult{Op: "subscriber-resize", Subscriber: string(id), Error: err.Error()})
 		return
 	}
 	res := adminResult{Op: "subscriber-resize", Subscriber: string(id)}
@@ -403,17 +375,17 @@ func (s *Server) adminResizeSubscriber(conn net.Conn, id qos.SubscriberID, body 
 	old, ok := s.sched.Reservation(id)
 	if !ok {
 		res.Error = "unknown subscriber"
-		s.respondAdminError(conn, 404, res)
+		s.respondAdmin(conn, 404, res)
 		return
 	}
 	res.Decision = admitctl.Evaluate(s.admitCfg(), s.sched.TotalReservation(), newRes-old, s.sched.EnabledCapacity())
 	if !res.Accepted {
-		s.respondAdminError(conn, decisionStatus(res.Decision), res)
+		s.respondAdmin(conn, decisionStatus(res.Decision), res)
 		return
 	}
 	if err := s.sched.ResizeReservation(id, newRes); err != nil {
 		res.Error = err.Error()
-		s.respondAdminError(conn, 400, res)
+		s.respondAdmin(conn, 400, res)
 		return
 	}
 	// Rebuild the directory so stats and future quota splits see the new
@@ -428,20 +400,17 @@ func (s *Server) adminResizeSubscriber(conn net.Conn, id qos.SubscriberID, body 
 			subs[i].Reservation = newRes
 		}
 	}
-	newDir, err := qos.NewDirectory(subs)
+	cp, err := t.withSubscribers(subs)
 	if err != nil {
 		s.logger.Printf("dispatch: admin resize %s: scheduler resized to %v but directory rebuild failed, topology/quota state is stale: %v", id, newRes, err)
 		res.Error = fmt.Sprintf("directory rebuild failed after scheduler resize: %v", err)
-		s.respondAdminError(conn, 500, res)
+		s.respondAdmin(conn, 500, res)
 		return
 	}
-	cp := t.clone()
-	cp.dir = newDir
-	cp.classifier = classify.NewHostClassifier(newDir)
 	s.topo.Store(cp)
 	s.admission.rebalance(subs)
 	s.annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(id), From: int(old), To: int(newRes)})
-	s.respondAdmin(conn, res)
+	s.respondAdmin(conn, 200, res)
 }
 
 // adminDeleteSubscriber retires a subscriber: its queued requests are
@@ -454,14 +423,14 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 	old, ok := s.sched.Reservation(id)
 	if !ok {
 		res.Error = "unknown subscriber"
-		s.respondAdminError(conn, 404, res)
+		s.respondAdmin(conn, 404, res)
 		return
 	}
 	res.Decision = admitctl.Evaluate(s.admitCfg(), s.sched.TotalReservation(), -old, s.sched.EnabledCapacity())
 	orphans, err := s.sched.RemoveSubscriber(id)
 	if err != nil {
 		res.Error = err.Error()
-		s.respondAdminError(conn, 404, res)
+		s.respondAdmin(conn, 404, res)
 		return
 	}
 	// Wake every connection still waiting on a withdrawn request. The CAS
@@ -475,32 +444,21 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 		}
 	}
 	t := s.top()
-	subs := directorySubs(t.dir)
-	for i, sub := range subs {
-		if sub.ID == id {
-			subs = append(subs[:i], subs[i+1:]...)
-			break
-		}
-	}
+	subs := slices.DeleteFunc(directorySubs(t.dir), func(sub qos.Subscriber) bool { return sub.ID == id })
 	// Shrinking the directory cannot fail (same entries minus one); if it
 	// somehow does, the scheduler state is already gone while the classifier
 	// still routes the retired hosts — surface that instead of hiding it.
-	newDir, err := qos.NewDirectory(subs)
+	cp, err := t.withSubscribers(subs)
 	if err != nil {
 		s.logger.Printf("dispatch: admin delete %s: scheduler state removed but directory rebuild failed, classifier still maps its hosts: %v", id, err)
 		res.Error = fmt.Sprintf("directory rebuild failed after scheduler removal: %v", err)
-		s.respondAdminError(conn, 500, res)
+		s.respondAdmin(conn, 500, res)
 		return
 	}
-	cp := t.clone()
-	cp.dir = newDir
-	cp.classifier = classify.NewHostClassifier(newDir)
-	delete(cp.groupOf, id)
-	delete(cp.reqLat, id)
 	s.topo.Store(cp)
 	s.admission.rebalance(subs)
 	s.annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(id), From: int(old)})
-	s.respondAdmin(conn, res)
+	s.respondAdmin(conn, 200, res)
 }
 
 // adminAddNode grows the backend pool. The node joins at the bottom of a
@@ -510,16 +468,16 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 func (s *Server) adminAddNode(conn net.Conn, id core.NodeID, body []byte) {
 	addr, capacity, rampFromTop, err := decodeNodeAdd(body)
 	if err != nil {
-		s.respondAdminError(conn, 400, adminResult{Op: "node-add", Node: nodeRef(id), Error: err.Error()})
+		s.respondAdmin(conn, 400, adminResult{Op: "node-add", Node: nodeRef(id), Error: err.Error()})
 		return
 	}
 	res := adminResult{Op: "node-add", Node: nodeRef(id)}
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
 	t := s.top()
-	if _, dup := t.addrs[id]; dup {
+	if _, dup := t.nodes[id]; dup {
 		res.Error = fmt.Sprintf("node %d already exists", id)
-		s.respondAdminError(conn, 409, res)
+		s.respondAdmin(conn, 409, res)
 		return
 	}
 	var b *breaker.Breaker
@@ -530,21 +488,17 @@ func (s *Server) adminAddNode(conn net.Conn, id core.NodeID, body []byte) {
 	}
 	if err := s.sched.AddNode(core.NodeConfig{ID: id, Capacity: capacity}, b.Weight()); err != nil {
 		res.Error = err.Error()
-		s.respondAdminError(conn, 409, res)
+		s.respondAdmin(conn, 409, res)
 		return
 	}
 	cp := t.clone()
-	cp.addrs[id] = addr
-	cp.breakers[id] = b
-	cp.acct[id] = &nodeAcct{}
-	cp.pools[id] = &connPool{}
-	cp.relayLat[id] = telemetry.NewHistogram()
+	cp.nodes[id] = &nodeEntry{id: id, addr: addr, breaker: b, relayLat: telemetry.NewHistogram()}
 	s.topo.Store(cp)
 	// Growing the pool cannot break a guarantee; the zero-delta evaluation
 	// records the post-add committed/capacity state for the operator's log.
 	res.Decision = admitctl.Evaluate(s.admitCfg(), s.sched.TotalReservation(), 0, s.sched.EnabledCapacity())
 	s.annotate(flightrec.TierEvent{Kind: "node-add", To: int(id)})
-	s.respondAdmin(conn, res)
+	s.respondAdmin(conn, 200, res)
 }
 
 // adminDrainNode gracefully retires a node: feasibility-gated (the remaining
@@ -554,16 +508,16 @@ func (s *Server) adminAddNode(conn net.Conn, id core.NodeID, body []byte) {
 func (s *Server) adminDrainNode(conn net.Conn, id core.NodeID, body []byte) {
 	force, err := decodeNodeDrain(body)
 	if err != nil {
-		s.respondAdminError(conn, 400, adminResult{Op: "node-drain", Node: nodeRef(id), Error: err.Error()})
+		s.respondAdmin(conn, 400, adminResult{Op: "node-drain", Node: nodeRef(id), Error: err.Error()})
 		return
 	}
 	res := adminResult{Op: "node-drain", Node: nodeRef(id)}
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	t := s.top()
-	if _, ok := t.addrs[id]; !ok {
+	n := s.node(id)
+	if n == nil {
 		res.Error = fmt.Sprintf("unknown node %d", id)
-		s.respondAdminError(conn, 404, res)
+		s.respondAdmin(conn, 404, res)
 		return
 	}
 	capacity, _ := s.sched.NodeCapacity(id)
@@ -575,92 +529,36 @@ func (s *Server) adminDrainNode(conn net.Conn, id core.NodeID, body []byte) {
 	}
 	res.Decision = admitctl.NodeRemovalFeasible(s.admitCfg(), s.sched.TotalReservation(), s.sched.EnabledCapacity(), leaving)
 	if !res.Accepted && !force {
-		s.respondAdminError(conn, decisionStatus(res.Decision), res)
+		s.respondAdmin(conn, decisionStatus(res.Decision), res)
 		return
 	}
-	// Publish the draining mark before dropping the weight: applyWeight
-	// consults the current topology, so once the swap lands no breaker tick
-	// can ramp the node back up; DrainNode then forces the weight to zero,
-	// closing the race with any applyWeight that loaded the old topology.
-	cp := t.clone()
-	cp.draining[id] = true
-	s.topo.Store(cp)
+	// Set the draining mark before dropping the weight: applyWeight reads
+	// it, so from here no breaker tick can ramp the node back up; DrainNode
+	// then forces the weight to zero, whatever an applyWeight that read the
+	// mark a moment earlier is about to set.
+	n.draining.Store(true)
 	outst, err := s.sched.DrainNode(id)
 	if err != nil {
 		res.Error = err.Error()
-		s.respondAdminError(conn, 404, res)
+		s.respondAdmin(conn, 404, res)
 		return
 	}
-	// No dispatch will ask for them again; exchanges in flight close their
-	// own connection when they finish (see exchange).
-	s.flushIdle(id)
+	// No dispatch will ask for its idle connections again; exchanges in
+	// flight close their own when they finish (see park).
+	s.reapIdle(n, time.Now())
 	res.OutstandingGeneric = outst.GenericUnits()
 	s.annotate(flightrec.TierEvent{Kind: "node-drain", To: int(id)})
-	s.respondAdmin(conn, res)
+	s.respondAdmin(conn, 200, res)
 }
 
 // ServeAdmin runs a control-plane-only listener until Close: the admin
-// endpoints plus the read-only operational ones (stats, metrics, trace,
-// cycles), and nothing else — client traffic cannot be proxied through it.
-// Deployments bind it to a private address (gaged's adminListen knob) so the
-// mutation surface never shares a port with subscriber traffic.
+// endpoints plus the five read-only operational ones (stats, metrics, trace,
+// cycles, events), and nothing else — client traffic cannot be proxied
+// through it. Deployments bind it to a private address (gaged's adminListen
+// knob) so the mutation surface never shares a port with subscriber traffic.
 func (s *Server) ServeAdmin(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("dispatch: server closed")
+	if err := s.bind(&s.adminLn, ln); err != nil {
+		return err
 	}
-	s.adminLn = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.drainCh:
-				return nil
-			default:
-				return fmt.Errorf("dispatch: admin accept: %w", err)
-			}
-		}
-		s.trackAdminConn(conn)
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			defer s.untrackAdminConn(conn)
-			defer conn.Close()
-			w := getWire(conn)
-			defer putWire(w)
-			for {
-				// A draining server reads no further admin requests either —
-				// a mutation mid-shutdown would race the teardown.
-				select {
-				case <-s.drainCh:
-					return
-				default:
-				}
-				_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ClientIdleTimeout))
-				req := &w.req
-				if err := req.Read(w.br); err != nil {
-					return
-				}
-				switch {
-				case strings.HasPrefix(req.Path(), AdminPrefix):
-					s.serveAdmin(conn, req)
-				case req.Path() == StatsPath:
-					s.serveStats(conn)
-				case req.Path() == MetricsPath:
-					s.serveMetrics(conn)
-				case req.Path() == TracePath:
-					s.serveTrace(conn)
-				case req.Path() == CyclesPath:
-					s.serveCycles(conn)
-				default:
-					s.respondError(conn, 404)
-				}
-				if !req.KeepAlive() {
-					return
-				}
-			}
-		}()
-	}
+	return s.accept(ln, true)
 }

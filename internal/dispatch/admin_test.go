@@ -7,13 +7,17 @@ import (
 	"net"
 	"reflect"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gage/internal/backend"
+	"gage/internal/breaker"
 	"gage/internal/core"
 	"gage/internal/httpwire"
 	"gage/internal/qos"
+	"gage/internal/telemetry"
 )
 
 // adminCluster builds a cluster plus the dedicated control-plane listener —
@@ -245,6 +249,131 @@ func TestAdminNodeAddAndDrain(t *testing.T) {
 	}
 }
 
+// TestAdminSwapsCarryRecords: whatever an admin mutation publishes, every
+// node and subscriber that survives it keeps the stateful parts of its record
+// — breaker streaks, pooled connections, the accounting snapshot and the
+// latency histograms outlive the swap because they are the same objects.
+func TestAdminSwapsCarryRecords(t *testing.T) {
+	_, adminAddr, srv := adminCluster(t, 2, feasibleSubs(), core.Config{})
+	type nodeParts struct {
+		breaker  *breaker.Breaker
+		acct     *nodeAcct
+		pool     *connPool
+		relayLat *telemetry.Histogram
+	}
+	parts := func() (map[core.NodeID]nodeParts, map[qos.SubscriberID]*telemetry.Histogram) {
+		nodes, subs := map[core.NodeID]nodeParts{}, map[qos.SubscriberID]*telemetry.Histogram{}
+		for id, n := range srv.top().nodes {
+			nodes[id] = nodeParts{n.breaker, &n.acct, &n.pool, n.relayLat}
+		}
+		for id, ent := range srv.top().subs {
+			subs[id] = ent.reqLat
+		}
+		return nodes, subs
+	}
+	for _, m := range []struct {
+		name, method, path, body string
+		nodes, subs              int // membership after the mutation
+	}{
+		{"create", "POST", "subscribers", `{"id":"site9","hosts":["www.site9.example"],"reservationGRPS":5}`, 2, 3},
+		{"resize", "PUT", "subscribers/site1", `{"reservationGRPS":40}`, 2, 3},
+		{"delete", "DELETE", "subscribers/site2", ``, 2, 2},
+		{"node add", "POST", "nodes/3/add", fmt.Sprintf(`{"addr":%q}`, spawnBackend(t, 3)), 3, 2},
+		{"node drain", "POST", "nodes/2/drain", `{}`, 3, 2},
+	} {
+		nodesBefore, subsBefore := parts()
+		if code, res := adminReq(t, adminAddr, m.method, AdminPrefix+m.path, []byte(m.body)); code != 200 {
+			t.Fatalf("%s = %d %+v, want 200", m.name, code, res)
+		}
+		nodesAfter, subsAfter := parts()
+		if len(nodesAfter) != m.nodes || len(subsAfter) != m.subs {
+			t.Fatalf("%s left %d nodes and %d subscribers, want %d and %d", m.name, len(nodesAfter), len(subsAfter), m.nodes, m.subs)
+		}
+		for id, now := range nodesAfter {
+			if was, ok := nodesBefore[id]; ok && now != was {
+				t.Errorf("%s replaced node %d's record parts: %+v, were %+v", m.name, id, now, was)
+			}
+		}
+		for id, now := range subsAfter {
+			if was, ok := subsBefore[id]; ok && now != was {
+				t.Errorf("%s replaced subscriber %s's request histogram", m.name, id)
+			}
+		}
+	}
+}
+
+// TestAdminDrainRacesSettlingRelays drains a node while relays to it are
+// waiting for its reply. Each resolved the node's record before the drain, so
+// the draining mark must reach them through that record: when they settle,
+// after the drain has flushed the pool, none may park its connection there,
+// and the accounting tick's re-apply must leave the weight at zero.
+func TestAdminDrainRacesSettlingRelays(t *testing.T) {
+	const clients = 8
+	arrived, gate := make(chan struct{}, clients), make(chan struct{})
+	// Node 1 holds every relayed request until gate closes and then agrees
+	// to keep the connection, so a settle that may park it will.
+	node1 := scriptedBackend(t, func(c *net.TCPConn, head string) {
+		resp := &httpwire.Response{StatusCode: 200, Header: map[string]string{"Connection": "keep-alive"}, Body: []byte("held, then served")}
+		if strings.HasPrefix(head, "GET "+backend.ReportPath) {
+			resp.Body = []byte(`{"node":1}`)
+		} else {
+			arrived <- struct{}{}
+			<-gate
+		}
+		_ = resp.Write(c)
+	})
+	var drained atomic.Bool
+	var pollsSinceDrain atomic.Int64
+	addr, srv := startTB(t, Config{
+		Subscribers: feasibleSubs(),
+		Backends:    []Backend{{ID: 1, Addr: node1}, {ID: 2, Addr: liveBackend(t, 2)}},
+		AcctCycle:   20 * time.Millisecond,
+		// A drained node is sent no relay, so every dial to it after the
+		// drain is an accounting poll, launched by a tick that has just
+		// re-applied the node's weight.
+		Dial: func(network, a string, timeout time.Duration) (net.Conn, error) {
+			if a == node1 && drained.Load() {
+				pollsSinceDrain.Add(1)
+			}
+			return net.DialTimeout(network, a, timeout)
+		},
+	})
+	adminLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("admin listen: %v", err)
+	}
+	go func() { _ = srv.ServeAdmin(adminLn) }()
+
+	statuses := make([]<-chan int, clients)
+	for i := range statuses {
+		statuses[i] = getAsync(t, addr, "www.site1.example")
+	}
+	// Every request is now either served by node 2 or held by node 1.
+	waitFor(t, 5*time.Second, func() bool { return int(srv.Stats().Served)+len(arrived) == clients })
+	if len(arrived) == 0 {
+		t.Fatal("no relay reached node 1")
+	}
+	if code, res := adminReq(t, adminLn.Addr().String(), "POST", AdminPrefix+"nodes/1/drain", nil); code != 200 {
+		t.Fatalf("drain = %d %+v", code, res)
+	}
+	drained.Store(true)
+	close(gate)
+	for i, status := range statuses {
+		if code := <-status; code != 200 {
+			t.Errorf("request %d: status %d, want 200", i, code)
+		}
+	}
+	// A reply the reader holds whole is settled before the client sees it.
+	if n := idleCount(srv, 1); n != 0 {
+		t.Errorf("%d connections parked in the drained node's pool", n)
+	}
+	// Two polls: the tick that launched the second began after the drain.
+	waitFor(t, 5*time.Second, func() bool { return pollsSinceDrain.Load() >= 2 })
+	if w, _ := srv.sched.NodeWeight(1); w != 0 {
+		t.Errorf("drained node's weight = %v after an accounting tick, want 0", w)
+	}
+}
+
 func TestAdminDecoderRejections(t *testing.T) {
 	_, adminAddr, srv := adminCluster(t, 1, defaultSubs(), core.Config{})
 	before := snapshotScheduler(srv)
@@ -279,12 +408,33 @@ func TestAdminDecoderRejections(t *testing.T) {
 }
 
 func TestServeAdminSeparateListener(t *testing.T) {
-	addr, adminAddr, srv := adminCluster(t, 2, feasibleSubs(), core.Config{})
+	// Recorder and bus on, so that all five read endpoints have something to
+	// answer with.
+	addr, srv := startTB(t, Config{
+		Subscribers:   feasibleSubs(),
+		Backends:      []Backend{{ID: 1, Addr: liveBackend(t, 1)}, {ID: 2, Addr: liveBackend(t, 2)}},
+		CycleRingSize: 16,
+		EventRingSize: 16,
+	})
+	adminLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("admin listen: %v", err)
+	}
+	go func() { _ = srv.ServeAdmin(adminLn) }()
+	adminAddr := adminLn.Addr().String()
 
 	code, res := adminReq(t, adminAddr, "POST", AdminPrefix+"subscribers",
 		[]byte(`{"id":"via-admin","hosts":["va.example"],"reservationGRPS":1}`))
 	if code != 200 || !res.Accepted {
 		t.Fatalf("create via admin listener = %d %+v", code, res)
+	}
+	// Both listeners answer every read endpoint, from one route table.
+	for _, path := range []string{StatsPath, MetricsPath, TracePath, CyclesPath, EventsPath} {
+		for name, a := range map[string]string{"client": addr, "admin": adminAddr} {
+			if resp, err := get(t, a, "admin", path); err != nil || resp.StatusCode != 200 {
+				t.Errorf("%s via %s listener = %v err = %v, want 200", path, name, resp, err)
+			}
+		}
 	}
 	if resp, err := get(t, adminAddr, "admin", StatsPath); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("stats via admin listener = %v err = %v, want 200", resp.StatusCode, err)

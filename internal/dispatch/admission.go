@@ -35,8 +35,7 @@ import (
 type admission struct {
 	// max is the in-flight request cap; 0 disables admission control.
 	max int
-	// mask is shardCount−1; shardCount is forced to a power of two so the
-	// shard pick is one AND.
+	// mask is the shard count minus one.
 	mask   uint32
 	shards []admissionShard
 	// packed is total<<32 | reservedIdle: total is Σ inflight, reservedIdle
@@ -60,22 +59,9 @@ type admissionShard struct {
 	shed map[qos.SubscriberID]uint64
 }
 
-// DefaultShardCount is the admission/accounting shard count used when the
-// dispatcher Config does not specify one.
-const DefaultShardCount = 16
-
-// normalizeShardCount clamps a configured shard count to the next
-// power of two at or above it, defaulting when unset.
-func normalizeShardCount(n int) int {
-	if n <= 0 {
-		n = DefaultShardCount
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// admissionShards is how many ways the dispatcher shards its per-subscriber
+// admission state. A power of two: the shard pick is one AND.
+const admissionShards = 16
 
 func packCounts(total, reservedIdle int) uint64 {
 	return uint64(uint32(total))<<32 | uint64(uint32(reservedIdle))
@@ -85,8 +71,9 @@ func unpackCounts(p uint64) (total, reservedIdle int) {
 	return int(uint32(p >> 32)), int(uint32(p))
 }
 
-func newAdmission(max int, subs []qos.Subscriber, shardCount int) *admission {
-	n := normalizeShardCount(shardCount)
+// newAdmission splits max in-flight slots over subs; n, the shard count, must
+// be a power of two.
+func newAdmission(max int, subs []qos.Subscriber, n int) *admission {
 	a := &admission{
 		max:    max,
 		mask:   uint32(n - 1),

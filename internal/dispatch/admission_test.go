@@ -15,7 +15,7 @@ func admSubs() []qos.Subscriber {
 }
 
 func TestAdmissionQuotasProportionalToReservations(t *testing.T) {
-	a := newAdmission(8, admSubs(), 0)
+	a := newAdmission(8, admSubs(), admissionShards)
 	cases := map[qos.SubscriberID]int{"gold": 6, "silver": 2, "free": 0}
 	for id, want := range cases {
 		if q, _, _ := a.subSnapshot(id); q != want {
@@ -29,7 +29,7 @@ func TestAdmissionShedsSpareTrafficFirst(t *testing.T) {
 	// subscriber may only use slots nobody is guaranteed — with every quota
 	// idle there are none, so free is shed while both reserved subscribers
 	// still fill their full quotas.
-	a := newAdmission(8, admSubs(), 0)
+	a := newAdmission(8, admSubs(), admissionShards)
 	if a.admit("free") {
 		t.Fatal("free admitted while every slot is reserved for quota holders")
 	}
@@ -57,7 +57,7 @@ func TestAdmissionReleaseRestoresGuaranteedSlot(t *testing.T) {
 	a := newAdmission(4, []qos.Subscriber{
 		{ID: "res", Reservation: 10},
 		{ID: "free", Reservation: 0},
-	}, 0)
+	}, admissionShards)
 	// quota[res] = 4: the whole cap is guaranteed. Burn two slots, release
 	// one — the freed slot must rejoin the guaranteed pool, so free traffic
 	// still cannot squeeze in.
@@ -81,7 +81,7 @@ func TestAdmissionSpareUsesTrulySpareSlots(t *testing.T) {
 		{ID: "x", Reservation: 1},
 		{ID: "y", Reservation: 1},
 		{ID: "free", Reservation: 0},
-	}, 0)
+	}, admissionShards)
 	if !a.admit("free") {
 		t.Fatal("free refused the unreserved remainder slot")
 	}
@@ -126,7 +126,7 @@ func TestAdmissionShardedAllocFree(t *testing.T) {
 }
 
 func TestAdmissionDisabledWhenNoCap(t *testing.T) {
-	a := newAdmission(0, admSubs(), 0)
+	a := newAdmission(0, admSubs(), admissionShards)
 	for i := 0; i < 100; i++ {
 		if !a.admit("free") {
 			t.Fatal("admission refused with MaxConns=0; control must be off")

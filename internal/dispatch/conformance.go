@@ -1,12 +1,10 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"net"
 	"time"
 
 	"gage/internal/flightrec"
-	"gage/internal/httpwire"
 	"gage/internal/telemetry"
 )
 
@@ -49,18 +47,7 @@ func (s *Server) serveCycles(conn net.Conn) {
 	if out.Records == nil {
 		out.Records = []flightrec.CycleRecord{}
 	}
-	body, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		s.respondError(conn, 500)
-		return
-	}
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header:     map[string]string{"Content-Type": "application/json"},
-		Body:       body,
-	}
-	// The poller may be gone; nothing else to do.
-	_ = resp.Write(conn)
+	s.respondJSON(conn, 200, out)
 }
 
 // addConformance appends the guarantee-conformance families to a scrape:

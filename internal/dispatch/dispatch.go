@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -77,11 +78,6 @@ type Config struct {
 	// reservations) that shed spare-capacity traffic first under
 	// saturation. 0 means unlimited (admission control off).
 	MaxConns int
-	// ShardCount is how many ways the per-subscriber admission state is
-	// sharded by subscriber-ID hash; concurrent accepts, releases, and
-	// stats scrapes contend only within a shard. Rounded up to a power of
-	// two; 0 means DefaultShardCount.
-	ShardCount int
 	// DrainTimeout bounds Close's drain phase: how long in-flight requests
 	// may keep finishing after the listener stops accepting, before they
 	// are abandoned (default 5 s).
@@ -205,84 +201,85 @@ type Stats struct {
 }
 
 // topology is the dispatcher's elastic membership state: the subscriber
-// directory and classifier on one side, the backend pool's addresses,
-// breakers, accounting-poll slots, and latency histograms on the other.
-// A published topology is immutable — hot paths read it with one atomic
-// load and index its maps lock-free, exactly as they read the fixed maps
-// before the control plane existed. Admin mutations build a modified copy
-// under Server.adminMu and swap the pointer (copy-on-write), carrying the
-// per-node and per-subscriber stateful objects across by pointer so their
-// streaks, snapshots, and histograms survive the swap.
+// directory and classifier, and one record per subscriber and per backend.
+// A published topology is immutable — hot paths read it with one atomic load
+// and index its maps lock-free. Admin mutations build a modified copy under
+// Server.adminMu and swap the pointer (copy-on-write); the records carry
+// across by pointer, so streaks, snapshots, pooled connections and histograms
+// survive the swap.
 type topology struct {
 	dir        *qos.Directory
 	classifier classify.Classifier
-	// groupOf caches each subscriber's tenant group for the partition
-	// admission and fencing checks.
-	groupOf map[qos.SubscriberID]string
-	// reqLat and relayLat are the latency histograms behind MetricsPath:
-	// end-to-end served latency per subscriber, backend-exchange latency
-	// per node. The histograms themselves are concurrency-safe.
-	reqLat   map[qos.SubscriberID]*telemetry.Histogram
-	relayLat map[core.NodeID]*telemetry.Histogram
-	addrs    map[core.NodeID]string
-	// breakers gate each backend's health: accounting-poll and relay
-	// failures feed per-source streaks, and the scheduler's node weight
-	// follows the breaker's slow-start ramp.
-	breakers map[core.NodeID]*breaker.Breaker
-	// acct holds each backend's accounting-poll state under its own mutex,
-	// so concurrent polls of different nodes never serialize on a global
-	// lock.
-	acct map[core.NodeID]*nodeAcct
-	// pools holds each backend's idle persistent connections and its
-	// dial/reuse counters.
-	pools map[core.NodeID]*connPool
-	// draining marks nodes being gracefully retired: applyWeight pins their
-	// scheduler weight at 0 regardless of breaker health, so the per-cycle
-	// breaker tick cannot ramp a drained node back into the rotation.
-	draining map[core.NodeID]bool
+	subs       map[qos.SubscriberID]*subEntry
+	nodes      map[core.NodeID]*nodeEntry
 }
 
-// clone copies the topology's maps (shallow: the per-node and
-// per-subscriber objects carry across by pointer) so an admin mutation can
-// edit the copy and publish it atomically.
+// subEntry is what the dispatcher keeps per subscriber besides the directory.
+type subEntry struct {
+	// group is the tenant group, the unit of partition admission and fencing.
+	group string
+	// reqLat is the end-to-end latency of served requests behind MetricsPath.
+	reqLat *telemetry.Histogram
+}
+
+// nodeEntry is one backend's row of dispatcher state. It is created once and
+// shared by every topology that holds the node, so whoever resolved it — a
+// relay, a poll — keeps seeing the same breaker, pool and draining mark
+// whatever swaps meanwhile; each part synchronizes itself.
+type nodeEntry struct {
+	id   core.NodeID
+	addr string
+	// breaker gates the node's health: accounting-poll and relay failures
+	// feed per-source streaks, and the scheduler's node weight follows the
+	// breaker's slow-start ramp.
+	breaker *breaker.Breaker
+	// acct is the accounting-poll state, under its own mutex so polls of
+	// different nodes never serialize.
+	acct nodeAcct
+	// pool holds the idle persistent connections and the dial/reuse counters.
+	pool connPool
+	// relayLat is the backend-exchange latency behind MetricsPath.
+	relayLat *telemetry.Histogram
+	// draining marks a node being gracefully retired: applyWeight pins its
+	// scheduler weight at 0 whatever the breaker says, so the per-cycle
+	// breaker tick cannot ramp it back into the rotation, and park refuses
+	// its connections.
+	draining atomic.Bool
+}
+
+// clone copies the topology's maps (shallow: the records carry across by
+// pointer) so an admin mutation can edit the copy and publish it atomically.
 func (t *topology) clone() *topology {
-	cp := &topology{
+	return &topology{
 		dir:        t.dir,
 		classifier: t.classifier,
-		groupOf:    make(map[qos.SubscriberID]string, len(t.groupOf)),
-		reqLat:     make(map[qos.SubscriberID]*telemetry.Histogram, len(t.reqLat)),
-		relayLat:   make(map[core.NodeID]*telemetry.Histogram, len(t.relayLat)),
-		addrs:      make(map[core.NodeID]string, len(t.addrs)),
-		breakers:   make(map[core.NodeID]*breaker.Breaker, len(t.breakers)),
-		acct:       make(map[core.NodeID]*nodeAcct, len(t.acct)),
-		pools:      make(map[core.NodeID]*connPool, len(t.pools)),
-		draining:   make(map[core.NodeID]bool, len(t.draining)),
+		subs:       maps.Clone(t.subs),
+		nodes:      maps.Clone(t.nodes),
 	}
-	for k, v := range t.groupOf {
-		cp.groupOf[k] = v
+}
+
+// withSubscribers returns a topology over t's nodes whose directory and
+// classifier hold subs. A subscriber t already knows keeps its record; a new
+// one gets a fresh one.
+func (t *topology) withSubscribers(subs []qos.Subscriber) (*topology, error) {
+	dir, err := qos.NewDirectory(subs)
+	if err != nil {
+		return nil, err
 	}
-	for k, v := range t.reqLat {
-		cp.reqLat[k] = v
+	cp := &topology{
+		dir:        dir,
+		classifier: classify.NewHostClassifier(dir),
+		subs:       make(map[qos.SubscriberID]*subEntry, len(subs)),
+		nodes:      t.nodes,
 	}
-	for k, v := range t.relayLat {
-		cp.relayLat[k] = v
+	for _, sub := range subs {
+		ent := t.subs[sub.ID]
+		if ent == nil {
+			ent = &subEntry{group: sub.Group, reqLat: telemetry.NewHistogram()}
+		}
+		cp.subs[sub.ID] = ent
 	}
-	for k, v := range t.addrs {
-		cp.addrs[k] = v
-	}
-	for k, v := range t.breakers {
-		cp.breakers[k] = v
-	}
-	for k, v := range t.acct {
-		cp.acct[k] = v
-	}
-	for k, v := range t.pools {
-		cp.pools[k] = v
-	}
-	for k, v := range t.draining {
-		cp.draining[k] = v
-	}
-	return cp
+	return cp, nil
 }
 
 // Server is a running dispatcher.
@@ -291,8 +288,8 @@ type Server struct {
 	sched  *core.Scheduler
 	logger *log.Logger
 
-	// topo is the elastic membership state (see topology). Read with
-	// s.top(); replaced only by admin mutations holding adminMu.
+	// topo is the elastic membership state (see topology), replaced only by
+	// admin mutations holding adminMu.
 	topo atomic.Pointer[topology]
 	// adminMu serializes control-plane mutations: topology swaps, scheduler
 	// membership calls, and admission-quota rebalances form one atomic
@@ -337,17 +334,13 @@ type Server struct {
 	// outlive the drain so queued requests still dispatch during it.
 	loopWG sync.WaitGroup
 
-	// conns tracks accepted client connections, both to enforce MaxConns
-	// and so Close can nudge idle keep-alive readers (deadline zap) and
-	// later force-close stragglers. Guarded by connMu.
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	// adminConns tracks ServeAdmin's control-plane connections separately so
-	// Close's deadline zap and force-close sweeps reach them too (an idle
-	// keep-alive admin connection must not stall connWG.Wait) without the
-	// operator surface counting against the client MaxConns cap. Guarded by
-	// connMu.
-	adminConns map[net.Conn]struct{}
+	// conns tracks accepted connections, client and control-plane (value
+	// true) alike, so Close can nudge idle keep-alive readers (deadline zap)
+	// and later force-close stragglers; clients counts the client ones, which
+	// alone are held to MaxConns. Guarded by connMu.
+	connMu  sync.Mutex
+	conns   map[net.Conn]bool
+	clients int
 
 	// beConns tracks live backend connections, in an exchange or idle in a
 	// pool, from dial to close, so the post-drain abort can cut hung
@@ -386,6 +379,11 @@ type Server struct {
 // top returns the current topology. The pointer is immutable; callers may
 // index its maps freely without further synchronization.
 func (s *Server) top() *topology { return s.topo.Load() }
+
+// node returns a backend's record. It is nil for a node the topology does
+// not hold — in particular one an admin add has registered with the scheduler
+// and is about to publish.
+func (s *Server) node(id core.NodeID) *nodeEntry { return s.top().nodes[id] }
 
 // UnhealthyAfter is the default consecutive-failure threshold that trips a
 // backend's breaker (Config.Breaker.Threshold overrides it).
@@ -436,8 +434,8 @@ type pendingConn struct {
 	w                    *wire
 	method, target, host string
 	sub                  qos.SubscriberID
-	// group is the subscriber's tenant group, the fencing unit.
-	group string
+	// ent is the subscriber's record: its group is the fencing unit.
+	ent *subEntry
 	// node receives the tick loop's dispatch decision for a request that had
 	// to wait (buffered; sent only after a successful CAS to pcDispatched).
 	node chan core.NodeID
@@ -496,21 +494,21 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Subscribers) == 0 {
 		return nil, errors.New("dispatch: at least one subscriber required")
 	}
-	dir, err := qos.NewDirectory(cfg.Subscribers)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]core.NodeConfig, 0, len(cfg.Backends))
-	addrs := make(map[core.NodeID]string, len(cfg.Backends))
+	nodeCfgs := make([]core.NodeConfig, 0, len(cfg.Backends))
+	nodes := make(map[core.NodeID]*nodeEntry, len(cfg.Backends))
 	for _, b := range cfg.Backends {
 		cap := b.Capacity
 		if cap.IsZero() {
 			cap = defaultBackendCapacity
 		}
-		nodes = append(nodes, core.NodeConfig{ID: b.ID, Capacity: cap})
-		addrs[b.ID] = b.Addr
+		nodeCfgs = append(nodeCfgs, core.NodeConfig{ID: b.ID, Capacity: cap})
+		nodes[b.ID] = &nodeEntry{id: b.ID, addr: b.Addr, breaker: breaker.New(cfg.Breaker), relayLat: telemetry.NewHistogram()}
 	}
-	sched, err := core.New(dir, nodes, cfg.Scheduler)
+	topo, err := (&topology{nodes: nodes}).withSubscribers(cfg.Subscribers)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := core.New(topo.dir, nodeCfgs, cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -542,42 +540,17 @@ func New(cfg Config) (*Server, error) {
 		})
 		auditor.SetBus(bus)
 	}
-	breakers := make(map[core.NodeID]*breaker.Breaker, len(addrs))
-	for id := range addrs {
-		breakers[id] = breaker.New(cfg.Breaker)
-	}
-	reqLat := make(map[qos.SubscriberID]*telemetry.Histogram, dir.Len())
-	for _, id := range dir.IDs() {
-		reqLat[id] = telemetry.NewHistogram()
-	}
-	relayLat := make(map[core.NodeID]*telemetry.Histogram, len(addrs))
-	for id := range addrs {
-		relayLat[id] = telemetry.NewHistogram()
-	}
-	acct := make(map[core.NodeID]*nodeAcct, len(addrs))
-	pools := make(map[core.NodeID]*connPool, len(addrs))
-	for id := range addrs {
-		acct[id] = &nodeAcct{}
-		pools[id] = &connPool{}
-	}
-	groupOf := make(map[qos.SubscriberID]string, dir.Len())
-	for _, id := range dir.IDs() {
-		if sub, err := dir.Subscriber(id); err == nil {
-			groupOf[id] = sub.Group
-		}
-	}
 	srv := &Server{
 		cfg:        cfg,
 		sched:      sched,
 		logger:     cfg.Logger,
 		stopCh:     make(chan struct{}),
 		drainCh:    make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		adminConns: make(map[net.Conn]struct{}),
+		conns:      make(map[net.Conn]bool),
 		beConns:    make(map[net.Conn]struct{}),
 		idleExpiry: backendIdleExpiry,
 		tickLate:   telemetry.NewHistogram(),
-		admission:  newAdmission(cfg.MaxConns, cfg.Subscribers, cfg.ShardCount),
+		admission:  newAdmission(cfg.MaxConns, cfg.Subscribers, admissionShards),
 		tracer: telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: cfg.TraceSampleEvery,
 			Buffer:      cfg.TraceBuffer,
@@ -588,18 +561,7 @@ func New(cfg Config) (*Server, error) {
 		migrating: make(map[string]struct{}),
 	}
 	srv.tracer.SetBus(bus)
-	srv.topo.Store(&topology{
-		dir:        dir,
-		classifier: classify.NewHostClassifier(dir),
-		groupOf:    groupOf,
-		reqLat:     reqLat,
-		relayLat:   relayLat,
-		addrs:      addrs,
-		breakers:   breakers,
-		acct:       acct,
-		pools:      pools,
-		draining:   make(map[core.NodeID]bool),
-	})
+	srv.topo.Store(topo)
 	return srv, nil
 }
 
@@ -630,18 +592,29 @@ func (s *Server) Stats() Stats {
 // Serve runs the dispatcher on the listener until Close. It starts the
 // scheduling ticker and the accounting poller.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("dispatch: server closed")
+	if err := s.bind(&s.ln, ln); err != nil {
+		return err
 	}
-	s.ln = ln
-	s.mu.Unlock()
-
 	s.loopWG.Add(2)
 	go s.tickLoop()
 	go s.acctLoop()
+	return s.accept(ln, false)
+}
 
+// bind records a listener for Close, refusing once Close has run.
+func (s *Server) bind(slot *net.Listener, ln net.Listener) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errors.New("dispatch: server closed")
+	}
+	*slot = ln
+	return nil
+}
+
+// accept hands each connection of the client listener, or of the private
+// control-plane one (admin), to a handler goroutine until Close.
+func (s *Server) accept(ln net.Listener, admin bool) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -652,59 +625,47 @@ func (s *Server) Serve(ln net.Listener) error {
 				return fmt.Errorf("dispatch: accept: %w", err)
 			}
 		}
-		s.accepted.Add(1)
-		if !s.trackConn(conn) {
-			// Past MaxConns (or already draining): shed fast. The 503 is
-			// written off the accept path so a slow client cannot stall
-			// new accepts.
-			s.shedConns.Add(1)
-			s.connWG.Add(1)
-			go func() {
-				defer s.connWG.Done()
-				s.respondError(conn, 503)
-				conn.Close()
-			}()
+		s.connWG.Add(1)
+		if s.trackConn(conn, admin) {
+			go s.handle(conn, admin)
 			continue
 		}
-		s.connWG.Add(1)
+		// Past MaxConns: shed fast. The 503 is written off the accept path
+		// so a slow client cannot stall new accepts.
+		s.shedConns.Add(1)
 		go func() {
 			defer s.connWG.Done()
-			defer s.untrackConn(conn)
-			s.handle(conn)
+			s.respondError(conn, 503)
+			conn.Close()
 		}()
 	}
 }
 
-// trackConn registers an accepted connection, refusing past MaxConns.
-func (s *Server) trackConn(conn net.Conn) bool {
+// trackConn registers an accepted connection for Close's deadline zap and
+// force-close sweeps. A client connection is counted (Stats.Accepted) and
+// refused past MaxConns. A control-plane connection never is: MaxConns bounds
+// subscriber traffic, and a saturated data plane must not lock the operator
+// out of the very surface that can shed it.
+func (s *Server) trackConn(conn net.Conn, admin bool) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
-		return false
+	if !admin {
+		s.accepted.Add(1)
+		if s.cfg.MaxConns > 0 && s.clients >= s.cfg.MaxConns {
+			return false
+		}
+		s.clients++
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[conn] = admin
 	return true
 }
 
 func (s *Server) untrackConn(conn net.Conn) {
 	s.connMu.Lock()
+	if !s.conns[conn] {
+		s.clients--
+	}
 	delete(s.conns, conn)
-	s.connMu.Unlock()
-}
-
-// trackAdminConn registers a control-plane connection for Close's deadline
-// zap and force-close sweeps. Unlike trackConn it never refuses: MaxConns
-// bounds subscriber traffic, and a saturated data plane must not lock the
-// operator out of the very surface that can shed it.
-func (s *Server) trackAdminConn(conn net.Conn) {
-	s.connMu.Lock()
-	s.adminConns[conn] = struct{}{}
-	s.connMu.Unlock()
-}
-
-func (s *Server) untrackAdminConn(conn net.Conn) {
-	s.connMu.Lock()
-	delete(s.adminConns, conn)
 	s.connMu.Unlock()
 }
 
@@ -743,9 +704,6 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		_ = c.SetReadDeadline(time.Now())
 	}
-	for c := range s.adminConns {
-		_ = c.SetReadDeadline(time.Now())
-	}
 	s.connMu.Unlock()
 
 	done := make(chan struct{})
@@ -765,9 +723,6 @@ func (s *Server) Close() error {
 	close(s.stopCh)
 	s.connMu.Lock()
 	for c := range s.conns {
-		_ = c.Close()
-	}
-	for c := range s.adminConns {
 		_ = c.Close()
 	}
 	s.connMu.Unlock()
@@ -891,43 +846,33 @@ func (s *Server) acctLoop() {
 		case <-ticker.C:
 			// One topology for the whole cycle: a node added or retired
 			// mid-cycle joins the rotation on the next tick.
-			t := s.top()
-			// Advance breaker time first: cooldowns elapse and slow-start
-			// ramps climb one step per accounting cycle.
 			now := time.Now()
-			for id, b := range t.breakers {
-				if b.Tick(now) {
-					s.logger.Printf("dispatch: node %d breaker %v", id, b.State())
+			for _, n := range s.top().nodes {
+				// Advance breaker time first: cooldowns elapse and slow-start
+				// ramps climb one step per accounting cycle.
+				if n.breaker.Tick(now) {
+					s.logger.Printf("dispatch: node %d breaker %v", n.id, n.breaker.State())
 				}
-				s.applyWeight(id, b)
-			}
-			for _, p := range t.pools {
-				s.reapIdle(p, now.Add(-s.idleExpiry))
-			}
-			for id, addr := range t.addrs {
-				na := t.acct[id]
-				na.mu.Lock()
-				busy := na.polling
+				s.applyWeight(n)
+				s.reapIdle(n, now.Add(-s.idleExpiry))
+				n.acct.mu.Lock()
+				busy := n.acct.polling
+				n.acct.polling = true
+				n.acct.mu.Unlock()
 				if !busy {
-					na.polling = true
+					s.loopWG.Add(1)
+					go s.pollOne(n)
 				}
-				na.mu.Unlock()
-				if busy {
-					continue
-				}
-				s.loopWG.Add(1)
-				go s.pollOne(id, addr, na)
 			}
 		}
 	}
 }
 
 // pollOne fetches one backend's report and folds the usage delta into the
-// scheduler. It owns the node's polling slot for its duration; the slot is
-// passed in from the topology the accounting cycle read, so a concurrent
-// topology swap cannot hand two pollers different slots for one node.
-func (s *Server) pollOne(id core.NodeID, addr string, na *nodeAcct) {
+// scheduler. It owns the node's polling slot for its duration.
+func (s *Server) pollOne(n *nodeEntry) {
 	defer s.loopWG.Done()
+	na := &n.acct
 	defer func() {
 		na.mu.Lock()
 		na.polling = false
@@ -937,13 +882,13 @@ func (s *Server) pollOne(id core.NodeID, addr string, na *nodeAcct) {
 	reuse := na.spareReport
 	na.spareReport = nil
 	na.mu.Unlock()
-	cum, err := s.pollReport(id, addr, reuse)
+	cum, err := s.pollReport(n, reuse)
 	if err != nil {
-		s.logger.Printf("dispatch: poll %v: %v", addr, err)
-		s.noteBreaker(id, breaker.Poll, false)
+		s.logger.Printf("dispatch: poll %v: %v", n.addr, err)
+		s.noteBreaker(n, breaker.Poll, false)
 		return
 	}
-	s.noteBreaker(id, breaker.Poll, true)
+	s.noteBreaker(n, breaker.Poll, true)
 	na.mu.Lock()
 	prev := na.lastSeen
 	delta := core.DiffUsageReports(cum, prev, na.deltaScratch)
@@ -959,8 +904,8 @@ func (s *Server) pollOne(id core.NodeID, addr string, na *nodeAcct) {
 
 // pollReport fetches one backend's usage report, decoding the subscriber
 // usage into the caller's reused map (nil allocates fresh).
-func (s *Server) pollReport(id core.NodeID, addr string, reuse map[qos.SubscriberID]core.SubscriberUsage) (core.UsageReport, error) {
-	conn, err := s.cfg.Dial("tcp", addr, s.cfg.DialTimeout)
+func (s *Server) pollReport(n *nodeEntry, reuse map[qos.SubscriberID]core.SubscriberUsage) (core.UsageReport, error) {
+	conn, err := s.cfg.Dial("tcp", n.addr, s.cfg.DialTimeout)
 	if err != nil {
 		return core.UsageReport{}, err
 	}
@@ -984,7 +929,7 @@ func (s *Server) pollReport(id core.NodeID, addr string, reuse map[qos.Subscribe
 	if err != nil {
 		return core.UsageReport{}, err
 	}
-	rep.Node = id // trust our own pool identity, not the backend's claim
+	rep.Node = n.id // trust our own pool identity, not the backend's claim
 	return rep, nil
 }
 
@@ -1054,18 +999,35 @@ func putWire(w *wire) {
 	wirePool.Put(w)
 }
 
-// handle serves one client connection. HTTP/1.1 connections are persistent
-// (P-HTTP): each request on the connection is classified, queued and
-// scheduled independently — consecutive requests may be relayed to
-// different back ends, just as the paper's splicing handles one request per
-// spliced connection.
-func (s *Server) handle(conn net.Conn) {
+// readRoutes names the read-only operational endpoints; both listeners
+// answer them.
+var readRoutes = map[string]func(*Server, net.Conn){
+	StatsPath:   (*Server).serveStats,
+	MetricsPath: (*Server).serveMetrics,
+	TracePath:   (*Server).serveTrace,
+	CyclesPath:  (*Server).serveCycles,
+	EventsPath:  (*Server).serveEvents,
+}
+
+// handle serves one connection, of the client listener or of the
+// control-plane one (admin). HTTP/1.1 connections are persistent (P-HTTP):
+// each request on a client connection is classified, queued and scheduled
+// independently — consecutive requests may be relayed to different back ends,
+// just as the paper's splicing handles one request per spliced connection.
+// The mutation surface under AdminPrefix answers only on the control-plane
+// listener (gaged's adminListen knob): a client that can reach the data-plane
+// port must never be able to sign, resize, or retire subscribers. That
+// listener in turn relays nothing, so client traffic cannot be proxied
+// through it.
+func (s *Server) handle(conn net.Conn, admin bool) {
+	defer s.connWG.Done()
+	defer s.untrackConn(conn)
 	defer conn.Close()
 	w := getWire(conn)
 	defer putWire(w)
 	for {
 		// A draining server reads no further requests, even on persistent
-		// connections.
+		// connections — a mutation mid-shutdown would race the teardown.
 		select {
 		case <-s.drainCh:
 			return
@@ -1092,41 +1054,31 @@ func (s *Server) handle(conn net.Conn) {
 		// The client's own wish, read before the relay rewrites Connection
 		// for the backend leg.
 		keep := w.req.KeepAlive()
-		if !s.serveOne(conn, w) || !keep {
+		path := w.req.Path()
+		serve, isRead := readRoutes[path]
+		adminPath := strings.HasPrefix(path, AdminPrefix)
+		usable := true
+		switch {
+		case isRead:
+			serve(s, conn)
+		case admin && adminPath:
+			s.serveAdmin(conn, &w.req)
+		case admin || adminPath:
+			s.respondError(conn, 404)
+		default:
+			usable = s.serveOne(conn, w)
+		}
+		if !usable || !keep {
 			return
 		}
 	}
 }
 
-// serveOne processes the request parsed into w.req; it reports whether the
-// connection is still usable for another request.
+// serveOne classifies, schedules and relays the client request parsed into
+// w.req; it reports whether the connection is still usable for another
+// request.
 func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 	req := &w.req
-	switch req.Path() {
-	case StatsPath:
-		s.serveStats(conn)
-		return true
-	case MetricsPath:
-		s.serveMetrics(conn)
-		return true
-	case TracePath:
-		s.serveTrace(conn)
-		return true
-	case CyclesPath:
-		s.serveCycles(conn)
-		return true
-	case EventsPath:
-		s.serveEvents(conn)
-		return true
-	}
-	if strings.HasPrefix(req.Path(), AdminPrefix) {
-		// The mutation surface is served only by ServeAdmin's dedicated
-		// listener (gaged's adminListen knob); a client that can reach the
-		// data-plane port must never be able to sign, resize, or retire
-		// subscribers, so the control-plane routes answer 404 here.
-		s.respondError(conn, 404)
-		return true
-	}
 	// The request ID doubles as the trace-sampling key, so it is drawn
 	// before classification: every client request — even one that never
 	// reaches the scheduler — is a sampling candidate.
@@ -1152,8 +1104,8 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		// span opening for sub snapshots the last few IDs.
 		defer s.auditor.NoteExemplar(sub, tid)
 	}
-	group := t.groupOf[sub]
-	if s.cfg.Owns != nil && !s.cfg.Owns(group) {
+	ent := t.subs[sub]
+	if s.cfg.Owns != nil && !s.cfg.Owns(ent.group) {
 		// Partition admission: this group is homed on another front end.
 		// Queuing it here would grow scheduler state the owner cannot see;
 		// refuse instead, bounding a takeover's blast radius to the groups
@@ -1182,7 +1134,7 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		target: req.Target,
 		host:   req.Host,
 		sub:    sub,
-		group:  group,
+		ent:    ent,
 		node:   make(chan core.NodeID, 1),
 		start:  start,
 		trace:  tr,
@@ -1298,23 +1250,24 @@ func (s *Server) abandon(pc *pendingConn) {
 // takes over. It reports whether the client connection remains usable.
 func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	tr := pc.trace
-	if s.cfg.Fence != nil && !s.cfg.Fence(pc.group) {
+	if s.cfg.Fence != nil && !s.cfg.Fence(pc.ent.group) {
 		// Deposed between dispatch and relay: the group's lease epoch moved
 		// on, so this decision must not reach a backend — the new owner is
 		// already scheduling the partition against its own capacity share.
 		// Reclaim the charge and refuse.
 		s.sched.ReleaseDispatch(pc.sub, node, pc.id)
 		s.fenced.Add(1)
-		if s.rec != nil {
-			s.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: pc.group})
-		}
+		s.annotate(flightrec.TierEvent{Kind: "fence", Group: pc.ent.group})
 		tr.Settle(telemetry.OutcomeFenced)
 		s.respondError(pc.conn, 503)
 		return true
 	}
 	tr.Add(telemetry.StageRelay, int64(node), "")
 	attempt := time.Now()
-	rep, sent, err := s.exchange(pc, node)
+	// The node's record is resolved here, once, for everything the relay does
+	// with the node.
+	n := s.node(node)
+	rep, sent, err := s.exchange(pc, n)
 	if err != nil && !sent {
 		alt, ok := s.sched.Redispatch(pc.sub, pc.id, node)
 		if !ok {
@@ -1347,7 +1300,8 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		// The relay latency histogram measures the exchange against the
 		// node that actually served; restart the clock for the alternate.
 		attempt = time.Now()
-		rep, sent, err = s.exchange(pc, alt)
+		n = s.node(alt)
+		rep, sent, err = s.exchange(pc, n)
 		if err != nil && !sent {
 			// The retry hop is already in the trace; exactly one terminal
 			// outcome settles it here.
@@ -1357,7 +1311,6 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 			s.respondError(pc.conn, 502)
 			return true
 		}
-		node = alt
 	}
 	if err != nil {
 		tr.Settle(telemetry.OutcomeError)
@@ -1365,7 +1318,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		s.respondError(pc.conn, 502)
 		return true
 	}
-	outcome := s.forward(pc, node, rep)
+	outcome := s.forward(pc, n, rep)
 	tr.Settle(outcome)
 	if outcome != telemetry.OutcomeServed {
 		// The client may hold part of the response, so there is nothing
@@ -1376,13 +1329,9 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 	}
 	// Both latencies end where the client's wait does: with the last body
 	// byte forwarded.
-	if h := s.top().relayLat[node]; h != nil {
-		h.Record(time.Since(attempt))
-	}
+	n.relayLat.Record(time.Since(attempt))
 	s.served.Add(1)
-	if h := s.top().reqLat[pc.sub]; h != nil {
-		h.Record(time.Since(pc.start))
-	}
+	pc.ent.reqLat.Record(time.Since(pc.start))
 	return true
 }
 
@@ -1390,23 +1339,11 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 // open or its half-open probe slot is already claimed.
 var errBreakerRefused = errors.New("dispatch: breaker refused relay")
 
-// breakerAllow asks a node's breaker to admit one relay.
-func (s *Server) breakerAllow(id core.NodeID) bool {
-	b, ok := s.top().breakers[id]
-	if !ok {
-		return true
-	}
-	return b.Allow(time.Now())
-}
-
 // noteBreaker feeds one poll/relay outcome into a node's breaker and keeps
 // the scheduler's node weight in lockstep with the breaker's verdict — the
 // single place health events change what the scheduler may dispatch.
-func (s *Server) noteBreaker(id core.NodeID, src breaker.Source, success bool) {
-	b, ok := s.top().breakers[id]
-	if !ok {
-		return
-	}
+func (s *Server) noteBreaker(n *nodeEntry, src breaker.Source, success bool) {
+	b := n.breaker
 	var changed bool
 	if success {
 		changed = b.Success(src, time.Now())
@@ -1414,40 +1351,45 @@ func (s *Server) noteBreaker(id core.NodeID, src breaker.Source, success bool) {
 		changed = b.Failure(src, time.Now())
 	}
 	if changed {
-		s.logger.Printf("dispatch: node %d breaker %v after %v %s", id, b.State(), src,
+		s.logger.Printf("dispatch: node %d breaker %v after %v %s", n.id, b.State(), src,
 			map[bool]string{true: "success", false: "failure"}[success])
-		s.bus.Publish(obs.Event{Kind: obs.KindBreaker, Node: int(id),
+		s.bus.Publish(obs.Event{Kind: obs.KindBreaker, Node: int(n.id),
 			Stage: b.State().String(), Detail: src.String()})
 		if !success {
 			// The breaker just opened: whatever broke the node has likely
 			// broken its idle connections too.
-			s.flushIdle(id)
+			s.reapIdle(n, time.Now())
 		}
 	}
-	s.applyWeight(id, b)
+	s.applyWeight(n)
 }
 
-// applyWeight pushes a breaker's current weight into the scheduler. A
-// draining node is pinned at weight zero regardless of breaker health —
-// otherwise the accounting loop's per-cycle re-apply would ramp a drained
-// node straight back into rotation.
-func (s *Server) applyWeight(id core.NodeID, b *breaker.Breaker) {
-	w := b.Weight()
-	if s.top().draining[id] {
-		w = 0
-	}
-	if err := s.sched.SetNodeWeight(id, w); err != nil {
-		s.logger.Printf("dispatch: set node %d weight: %v", id, err)
+// applyWeight pushes a node's effective weight into the scheduler.
+func (s *Server) applyWeight(n *nodeEntry) {
+	if err := s.sched.SetNodeWeight(n.id, n.snapshot().Weight); err != nil {
+		s.logger.Printf("dispatch: set node %d weight: %v", n.id, err)
 	}
 }
 
-// BreakerSnapshot exposes one node's breaker view (tests, stats).
+// snapshot is the breaker's view of the node with the weight made the
+// effective one: a draining node is pinned at zero whatever its breaker's
+// health — otherwise the accounting loop's per-cycle re-apply would ramp a
+// drained node straight back into rotation.
+func (n *nodeEntry) snapshot() breaker.Snapshot {
+	snap := n.breaker.Snapshot()
+	if n.draining.Load() {
+		snap.Weight = 0
+	}
+	return snap
+}
+
+// BreakerSnapshot exposes one node's breaker view (tests).
 func (s *Server) BreakerSnapshot(id core.NodeID) (breaker.Snapshot, bool) {
-	b, ok := s.top().breakers[id]
-	if !ok {
+	n := s.node(id)
+	if n == nil {
 		return breaker.Snapshot{}, false
 	}
-	return b.Snapshot(), true
+	return n.breaker.Snapshot(), true
 }
 
 // StatsPath serves the dispatcher's operational state as JSON.
@@ -1512,7 +1454,7 @@ func (s *Server) serveStats(conn net.Conn) {
 		ShedConns:    st.ShedConns,
 		Shed:         st.Shed,
 		Subscribers:  make(map[string]subscriberJSON, t.dir.Len()),
-		Nodes:        make(map[string]nodeJSON, len(t.addrs)),
+		Nodes:        make(map[string]nodeJSON, len(t.nodes)),
 
 		DispatchedOnArrival: st.DispatchedOnArrival,
 		DispatchedAtTick:    st.DispatchedAtTick,
@@ -1537,44 +1479,23 @@ func (s *Server) serveStats(conn net.Conn) {
 			Shed:            shed,
 		}
 	}
-	for _, nodeID := range s.sched.Nodes() {
-		outst, _ := s.sched.Outstanding(nodeID)
-		nj := nodeJSON{
-			Addr:            t.addrs[nodeID],
+	for id, n := range t.nodes {
+		outst, _ := s.sched.Outstanding(id)
+		snap := n.snapshot()
+		out.Nodes[fmt.Sprintf("%d", id)] = nodeJSON{
+			Addr:            n.addr,
 			OutstandingCPU:  outst.CPUTime.Nanoseconds(),
 			OutstandingDisk: outst.DiskTime.Nanoseconds(),
 			OutstandingNet:  outst.NetBytes,
+			Breaker:         snap.State.String(),
+			Weight:          snap.Weight,
+			PollStreak:      snap.PollStreak,
+			RelayStreak:     snap.RelayStreak,
+			BackendDials:    n.pool.dials.Load(),
+			ConnReuses:      n.pool.reuses.Load(),
 		}
-		if snap, ok := s.BreakerSnapshot(nodeID); ok {
-			nj.Breaker = snap.State.String()
-			// A draining node's scheduler weight is pinned at zero whatever
-			// its breaker says; report the effective weight the operator is
-			// polling for.
-			nj.Weight = snap.Weight
-			if t.draining[nodeID] {
-				nj.Weight = 0
-			}
-			nj.PollStreak = snap.PollStreak
-			nj.RelayStreak = snap.RelayStreak
-		}
-		if p := t.pools[nodeID]; p != nil {
-			nj.BackendDials = p.dials.Load()
-			nj.ConnReuses = p.reuses.Load()
-		}
-		out.Nodes[fmt.Sprintf("%d", nodeID)] = nj
 	}
-	body, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		s.respondError(conn, 500)
-		return
-	}
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header:     map[string]string{"Content-Type": "application/json"},
-		Body:       body,
-	}
-	// The poller may be gone; nothing else to do.
-	_ = resp.Write(conn)
+	s.respondJSON(conn, 200, out)
 }
 
 // errorHeads holds the wire form of every bodiless error answer the
@@ -1589,6 +1510,28 @@ var errorHeads = map[int][]byte{
 func errorHead(code int) []byte {
 	resp := httpwire.Response{StatusCode: code, Header: map[string]string{"Content-Length": "0"}}
 	return append(resp.AppendHead(nil, 0), "\r\n"...)
+}
+
+// respond writes an answer with a body: every one the dispatcher composes
+// itself goes out here.
+func (s *Server) respond(conn net.Conn, code int, contentType string, body []byte) {
+	resp := &httpwire.Response{
+		StatusCode: code,
+		Header:     map[string]string{"Content-Type": contentType},
+		Body:       body,
+	}
+	// The client may already be gone; nothing more to do.
+	_ = resp.Write(conn)
+}
+
+// respondJSON answers with v as indented JSON.
+func (s *Server) respondJSON(conn net.Conn, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		s.respondError(conn, 500)
+		return
+	}
+	s.respond(conn, code, "application/json", body)
 }
 
 func (s *Server) respondError(conn net.Conn, code int) {

@@ -99,17 +99,9 @@ func park(srv *Server) (release func()) {
 	mark := func(on bool) {
 		srv.adminMu.Lock()
 		defer srv.adminMu.Unlock()
-		cp := srv.top().clone()
-		for id := range cp.addrs {
-			if on {
-				cp.draining[id] = true
-			} else {
-				delete(cp.draining, id)
-			}
-		}
-		srv.topo.Store(cp)
-		for id, b := range cp.breakers {
-			srv.applyWeight(id, b)
+		for _, n := range srv.top().nodes {
+			n.draining.Store(on)
+			srv.applyWeight(n)
 		}
 	}
 	mark(true)

@@ -9,10 +9,8 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"net"
 
-	"gage/internal/httpwire"
 	"gage/internal/obs"
 )
 
@@ -47,18 +45,7 @@ func (s *Server) serveEvents(conn net.Conn) {
 	if out.Events == nil {
 		out.Events = []obs.Event{}
 	}
-	body, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		s.respondError(conn, 500)
-		return
-	}
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header:     map[string]string{"Content-Type": "application/json"},
-		Body:       body,
-	}
-	// The poller may be gone; nothing else to do.
-	_ = resp.Write(conn)
+	s.respondJSON(conn, 200, out)
 }
 
 // Bus exposes the unified event bus (tests, embedding binaries). Nil when

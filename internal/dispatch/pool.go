@@ -11,7 +11,6 @@ import (
 
 	"gage/internal/backend"
 	"gage/internal/breaker"
-	"gage/internal/core"
 	"gage/internal/obs"
 	"gage/internal/telemetry"
 )
@@ -57,10 +56,19 @@ func (p *connPool) take() net.Conn {
 	return c
 }
 
-func (p *connPool) put(c net.Conn, now time.Time) {
+// park returns c to the node's idle pool, unless the node is draining: no
+// dispatch will ask for its connections again. The mark is read under the
+// pool's lock and a drain sets it before it flushes the pool, so a release
+// racing the drain is either refused here or reaped by that flush.
+func (n *nodeEntry) park(c net.Conn, now time.Time) bool {
+	p := &n.pool
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n.draining.Load() {
+		return false
+	}
 	p.idle = append(p.idle, idleConn{conn: c, since: now})
-	p.mu.Unlock()
+	return true
 }
 
 // reap removes and returns the connections parked at or before cutoff.
@@ -81,19 +89,13 @@ func (p *connPool) reap(cutoff time.Time) []idleConn {
 	return old
 }
 
-// reapIdle closes a pool's connections parked at or before cutoff: the
-// accounting tick passes the expiry horizon, a flush passes now.
-func (s *Server) reapIdle(p *connPool, cutoff time.Time) {
-	for _, ic := range p.reap(cutoff) {
+// reapIdle closes a node's idle connections parked at or before cutoff: the
+// accounting tick passes the expiry horizon; a node whose breaker opened or
+// which is being drained is flushed by passing now. Exchanges in flight are
+// left to finish.
+func (s *Server) reapIdle(n *nodeEntry, cutoff time.Time) {
+	for _, ic := range n.pool.reap(cutoff) {
 		s.closeBackend(ic.conn)
-	}
-}
-
-// flushIdle closes every idle connection to a node whose breaker opened or
-// which is being drained; exchanges in flight are left to finish.
-func (s *Server) flushIdle(id core.NodeID) {
-	if p := s.top().pools[id]; p != nil {
-		s.reapIdle(p, time.Now())
 	}
 }
 
@@ -106,9 +108,8 @@ const (
 	partialReply                 // the response started and then failed
 )
 
-// errUnknownNode marks a dispatch to a node the topology does not hold yet:
-// an admin add registers the node with the scheduler a moment before it
-// publishes the topology.
+// errUnknownNode marks a dispatch to a node the topology does not hold yet
+// (see Server.node).
 var errUnknownNode = errors.New("dispatch: node not in topology")
 
 // reply is a backend response as exchange hands it to forward: the head is
@@ -136,14 +137,12 @@ type reply struct {
 // refused, undialled or partially written request (sent false) is safe to
 // re-aim at an alternate — the client has seen nothing — while a failure
 // after the request went out is final.
-func (s *Server) exchange(pc *pendingConn, node core.NodeID) (rep reply, sent bool, err error) {
-	if !s.breakerAllow(node) {
-		return reply{}, false, errBreakerRefused
-	}
-	t := s.top()
-	pool := t.pools[node]
-	if pool == nil {
+func (s *Server) exchange(pc *pendingConn, n *nodeEntry) (rep reply, sent bool, err error) {
+	if n == nil {
 		return reply{}, false, errUnknownNode
+	}
+	if !n.breaker.Allow(time.Now()) {
+		return reply{}, false, errBreakerRefused
 	}
 	// Tag the request with its charging entity for backend accounting, and
 	// with its trace ID so the backend can echo it back for attribution.
@@ -164,15 +163,15 @@ func (s *Server) exchange(pc *pendingConn, node core.NodeID) (rep reply, sent bo
 	w.buf = append(w.buf, "\r\n"...)
 	w.buf = append(w.buf, w.req.Body...)
 
-	c := pool.take()
+	c := n.pool.take()
 	for reused := c != nil; ; reused = false {
 		if reused {
-			pool.reuses.Add(1)
+			n.pool.reuses.Add(1)
 		} else {
-			pool.dials.Add(1)
-			c, err = s.cfg.Dial("tcp", t.addrs[node], s.cfg.DialTimeout)
+			n.pool.dials.Add(1)
+			c, err = s.cfg.Dial("tcp", n.addr, s.cfg.DialTimeout)
 			if err != nil {
-				s.noteBreaker(node, breaker.Relay, false)
+				s.noteBreaker(n, breaker.Relay, false)
 				return reply{}, false, err
 			}
 			s.trackBackend(c)
@@ -185,7 +184,7 @@ func (s *Server) exchange(pc *pendingConn, node core.NodeID) (rep reply, sent bo
 		if reused && got != partialReply && !errors.Is(err, os.ErrDeadlineExceeded) {
 			continue
 		}
-		s.noteBreaker(node, breaker.Relay, false)
+		s.noteBreaker(n, breaker.Relay, false)
 		return reply{}, got != notSent, err
 	}
 }
@@ -229,7 +228,7 @@ func (s *Server) attempt(request []byte, c net.Conn) (rep reply, got progress, e
 // client has the whole response; otherwise it is error for a backend that
 // broke off, went quiet for BackendTimeout or closed short of the body, and
 // client-gone for a client write that failed.
-func (s *Server) forward(pc *pendingConn, node core.NodeID, rep reply) telemetry.Outcome {
+func (s *Server) forward(pc *pendingConn, n *nodeEntry, rep reply) telemetry.Outcome {
 	defer putWire(rep.w)
 	// The backend's Connection header spoke for its own leg; the client's
 	// persistence is the client's to choose.
@@ -243,7 +242,7 @@ func (s *Server) forward(pc *pendingConn, node core.NodeID, rep reply) telemetry
 	left := rep.n - int64(len(held))
 	whole := left == 0
 	if whole {
-		s.settle(node, rep, true, true)
+		s.settle(n, rep, true, true)
 	}
 	outcome := telemetry.OutcomeServed
 	if _, err := pc.conn.Write(w.buf); err != nil {
@@ -268,7 +267,7 @@ func (s *Server) forward(pc *pendingConn, node core.NodeID, rep reply) telemetry
 		}
 	}
 	if !whole {
-		s.settle(node, rep, left == 0, outcome != telemetry.OutcomeError)
+		s.settle(n, rep, left == 0, outcome != telemetry.OutcomeError)
 	}
 	return outcome
 }
@@ -282,15 +281,10 @@ func (s *Server) forward(pc *pendingConn, node core.NodeID, rep reply) telemetry
 // exchange a success also resolves a half-open trial it may have been. The
 // connection goes back to the node's pool if the whole body was taken off it
 // (drained), the backend agreed to keep it open, nothing unread trails the
-// response, and the node is still in the topology and not draining — a
-// draining node gets no further dispatches; a release racing the drain's
-// flush is caught by the idle expiry instead.
-func (s *Server) settle(node core.NodeID, rep reply, drained, backendOK bool) {
-	s.noteBreaker(node, breaker.Relay, backendOK)
-	t := s.top()
-	if pool := t.pools[node]; pool != nil && drained && rep.keep && rep.w.br.Buffered() == 0 && !t.draining[node] {
-		pool.put(rep.c, time.Now())
-	} else {
+// response, and the node is not draining (see park).
+func (s *Server) settle(n *nodeEntry, rep reply, drained, backendOK bool) {
+	s.noteBreaker(n, breaker.Relay, backendOK)
+	if !(drained && rep.keep && rep.w.br.Buffered() == 0 && n.park(rep.c, time.Now())) {
 		s.closeBackend(rep.c)
 	}
 }

@@ -66,15 +66,15 @@ func (d *countingDialer) open() int {
 
 // poolCounts sums the relay dial and reuse counters over every node.
 func poolCounts(srv *Server) (dials, reuses uint64) {
-	for _, p := range srv.top().pools {
-		dials += p.dials.Load()
-		reuses += p.reuses.Load()
+	for _, n := range srv.top().nodes {
+		dials += n.pool.dials.Load()
+		reuses += n.pool.reuses.Load()
 	}
 	return dials, reuses
 }
 
 func idleCount(srv *Server, id core.NodeID) int {
-	p := srv.top().pools[id]
+	p := &srv.node(id).pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.idle)
@@ -306,7 +306,7 @@ func TestPoolBreakerOpenFlushesIdleConnections(t *testing.T) {
 		t.Fatal("warm-up left a node without a pooled connection")
 	}
 	for i := 0; i < UnhealthyAfter; i++ {
-		srv.noteBreaker(1, breaker.Poll, false)
+		srv.noteBreaker(srv.node(1), breaker.Poll, false)
 	}
 	if snap, _ := srv.BreakerSnapshot(1); snap.State != breaker.Open {
 		t.Fatalf("breaker = %+v, want open", snap)
@@ -386,14 +386,15 @@ func TestPoolIdleConnectionsExpireOnTheAccountingTick(t *testing.T) {
 }
 
 func TestPoolReapsOldestAndReusesNewest(t *testing.T) {
-	var p connPool
+	var n nodeEntry
+	p := &n.pool
 	t0 := time.Now()
 	conns := make([]net.Conn, 4)
 	for i := range conns {
 		a, b := net.Pipe()
 		t.Cleanup(func() { a.Close(); b.Close() })
 		conns[i] = a
-		p.put(a, t0.Add(time.Duration(i)*time.Second))
+		n.park(a, t0.Add(time.Duration(i)*time.Second))
 	}
 	if got := p.take(); got != conns[3] {
 		t.Error("take did not return the most recently parked connection")

@@ -54,7 +54,6 @@ func TestScrapeUnderShardedLoad(t *testing.T) {
 		Subscribers:       subs,
 		Backends:          []Backend{{ID: 1, Addr: liveBackend(t, 1)}, {ID: 2, Addr: liveBackend(t, 2)}},
 		MaxConns:          64,
-		ShardCount:        4,
 		CycleRingSize:     128,
 		CycleLog:          &lockedBuffer{},
 		ConformanceWindow: 2 * time.Second,

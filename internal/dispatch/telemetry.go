@@ -1,13 +1,12 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
 
+	"gage/internal/breaker"
 	"gage/internal/core"
-	"gage/internal/httpwire"
 	"gage/internal/qos"
 	"gage/internal/telemetry"
 )
@@ -101,58 +100,46 @@ func (s *Server) buildExposition() ([]byte, error) {
 		e.Add("gage_subscriber_shed_total", subLabel(string(id)), float64(shed))
 	}
 
-	nodeIDs := s.sched.Nodes()
-	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-	nodeLabel := func(id core.NodeID) []telemetry.Label {
-		return []telemetry.Label{{Name: "node", Value: fmt.Sprintf("%d", id)}}
+	// One row per node: its record, its label and one breaker snapshot, so
+	// the node families of a scrape agree with one another.
+	type nodeRow struct {
+		*nodeEntry
+		label []telemetry.Label
+		snap  breaker.Snapshot
 	}
+	nodes := make([]nodeRow, 0, len(t.nodes))
+	for id, n := range t.nodes {
+		nodes = append(nodes, nodeRow{n, []telemetry.Label{{Name: "node", Value: fmt.Sprintf("%d", id)}}, n.snapshot()})
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
 	e.Family("gage_node_weight", "gauge", "Fraction of the node's capacity the scheduler may use (breaker slow-start ramp; 0 while draining).")
-	draining := s.top().draining
-	for _, id := range nodeIDs {
-		if snap, ok := s.BreakerSnapshot(id); ok {
-			w := snap.Weight
-			if draining[id] {
-				w = 0
-			}
-			e.Add("gage_node_weight", nodeLabel(id), w)
-		}
+	for _, n := range nodes {
+		e.Add("gage_node_weight", n.label, n.snap.Weight)
 	}
 	e.Family("gage_node_breaker_state", "gauge", "Breaker state per node: 0 closed, 1 open, 2 half-open.")
-	for _, id := range nodeIDs {
-		if snap, ok := s.BreakerSnapshot(id); ok {
-			e.Add("gage_node_breaker_state", nodeLabel(id), float64(snap.State))
-		}
+	for _, n := range nodes {
+		e.Add("gage_node_breaker_state", n.label, float64(n.snap.State))
 	}
 	e.Family("gage_node_breaker_opens_total", "counter", "Breaker transitions into Open per node.")
-	for _, id := range nodeIDs {
-		if snap, ok := s.BreakerSnapshot(id); ok {
-			e.Add("gage_node_breaker_opens_total", nodeLabel(id), float64(snap.Opens))
-		}
+	for _, n := range nodes {
+		e.Add("gage_node_breaker_opens_total", n.label, float64(n.snap.Opens))
 	}
 	e.Family("gage_backend_dials_total", "counter", "Backend connections dialled for relays per node (accounting polls excluded).")
-	for _, id := range nodeIDs {
-		if p := t.pools[id]; p != nil {
-			e.Add("gage_backend_dials_total", nodeLabel(id), float64(p.dials.Load()))
-		}
+	for _, n := range nodes {
+		e.Add("gage_backend_dials_total", n.label, float64(n.pool.dials.Load()))
 	}
 	e.Family("gage_backend_conn_reuses_total", "counter", "Relay exchanges started on a pooled backend connection per node.")
-	for _, id := range nodeIDs {
-		if p := t.pools[id]; p != nil {
-			e.Add("gage_backend_conn_reuses_total", nodeLabel(id), float64(p.reuses.Load()))
-		}
+	for _, n := range nodes {
+		e.Add("gage_backend_conn_reuses_total", n.label, float64(n.pool.reuses.Load()))
 	}
 
 	e.Family("gage_request_latency_seconds", "summary", "End-to-end latency of served requests, classify to response write.")
 	for _, id := range subIDs {
-		if h := t.reqLat[id]; h != nil {
-			e.Summary("gage_request_latency_seconds", subLabel(string(id)), h.Snapshot(), latencyQuantiles)
-		}
+		e.Summary("gage_request_latency_seconds", subLabel(string(id)), t.subs[id].reqLat.Snapshot(), latencyQuantiles)
 	}
 	e.Family("gage_relay_latency_seconds", "summary", "Backend exchange latency of successful relays, dial to response read.")
-	for _, id := range nodeIDs {
-		if h := t.relayLat[id]; h != nil {
-			e.Summary("gage_relay_latency_seconds", nodeLabel(id), h.Snapshot(), latencyQuantiles)
-		}
+	for _, n := range nodes {
+		e.Summary("gage_relay_latency_seconds", n.label, n.relayLat.Snapshot(), latencyQuantiles)
 	}
 	e.Family("gage_tick_late_seconds", "summary", "How far past due the scheduling loop found its oldest owed cycle, per wake.")
 	e.Summary("gage_tick_late_seconds", nil, s.tickLate.Snapshot(), latencyQuantiles)
@@ -170,13 +157,7 @@ func (s *Server) serveMetrics(conn net.Conn) {
 		s.respondError(conn, 500)
 		return
 	}
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header:     map[string]string{"Content-Type": telemetry.ContentType},
-		Body:       body,
-	}
-	// The scraper may be gone; nothing else to do.
-	_ = resp.Write(conn)
+	s.respond(conn, 200, telemetry.ContentType, body)
 }
 
 // traceDumpJSON is the wire form of the trace endpoint.
@@ -204,18 +185,7 @@ func (s *Server) serveTrace(conn net.Conn) {
 	if out.Traces == nil {
 		out.Traces = []telemetry.Trace{}
 	}
-	body, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		s.respondError(conn, 500)
-		return
-	}
-	resp := &httpwire.Response{
-		StatusCode: 200,
-		Header:     map[string]string{"Content-Type": "application/json"},
-		Body:       body,
-	}
-	// The poller may be gone; nothing else to do.
-	_ = resp.Write(conn)
+	s.respondJSON(conn, 200, out)
 }
 
 // Tracer exposes the request tracer (tests, embedding binaries).
@@ -223,8 +193,18 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // RequestLatency returns a subscriber's end-to-end served-latency
 // histogram, or nil for unknown subscribers.
-func (s *Server) RequestLatency(id qos.SubscriberID) *telemetry.Histogram { return s.top().reqLat[id] }
+func (s *Server) RequestLatency(id qos.SubscriberID) *telemetry.Histogram {
+	if ent := s.top().subs[id]; ent != nil {
+		return ent.reqLat
+	}
+	return nil
+}
 
 // RelayLatency returns a node's backend-exchange latency histogram, or nil
 // for unknown nodes.
-func (s *Server) RelayLatency(id core.NodeID) *telemetry.Histogram { return s.top().relayLat[id] }
+func (s *Server) RelayLatency(id core.NodeID) *telemetry.Histogram {
+	if n := s.node(id); n != nil {
+		return n.relayLat
+	}
+	return nil
+}
