@@ -1,5 +1,5 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint loc bench-build bench-sched bench-hier bench-obs bench-frontier bench-pin stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint loc bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
 verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
 
@@ -40,15 +40,15 @@ chaos:
 		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/ ./internal/backend/
 	go test -race -count=2 ./internal/breaker/
 
-# benchgate runs one pinned benchmark family: $(1) is its committed pin,
-# $(2) the go test arguments. The JSON goes to a temporary file — verify
-# leaves the working tree as it found it — unless PIN is set, which only
-# `make bench-pin` does. Either way every result line is printed and the
+# benchgate runs one gated benchmark family: $(1) is the target's name, $(2)
+# the go test arguments. The JSON goes to a temporary file — verify leaves
+# the working tree as it found it, and nothing is kept between runs: the
+# gate is absolute, not a comparison. Every result line is printed and the
 # target fails if any reads other than "0 allocs/op", or if there is none.
 # ns/op is there to be read, never gated: this VM has two speeds 30–60 %
 # apart.
 define benchgate
-@if [ -n "$(PIN)" ]; then out=$(1); else out=$$(mktemp) && trap 'rm -f "$$out"' EXIT; fi; \
+@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT; \
 go test -run '^$$' $(2) -benchmem -json > "$$out" || \
 	{ grep -h '"Output"' "$$out" | tail -20; echo "$(1): benchmark run failed"; exit 1; }; \
 grep 'allocs/op' "$$out" | \
@@ -59,29 +59,24 @@ if [ "$$n" -eq 0 ] || [ "$$bad" -ne 0 ]; then \
 	echo "$(1): $$n result lines, $$bad not at 0 allocs/op; want at least one line and 0 allocs/op on each"; exit 1; fi
 endef
 
-# The committed BENCH_*.json change only here, on purpose.
-bench-pin:
-	$(MAKE) PIN=1 bench-sched bench-hier bench-obs bench-frontier
-
 # Scheduler hot-path scale trajectory: one steady-state scheduling cycle
 # (arrivals + Tick + accounting feedback, 64-subscriber working set) at
 # 1k/10k/100k registered subscribers, flight recorder off and on, and the
 # same cycle at 10k with the arrivals going through Submit (the regexp
-# matches SchedCycleSubmit too). Pinned in BENCH_sched.json; per-cycle cost
-# must stay flat across the sweep (O(1) per dispatch decision) and allocs/op
-# must stay 0.
+# matches SchedCycleSubmit too). Per-cycle cost must stay flat across the
+# sweep (O(1) per dispatch decision) and allocs/op must stay 0.
 bench-sched:
-	$(call benchgate,BENCH_sched.json,-bench SchedCycle -benchtime=300x ./internal/core/)
+	$(call benchgate,bench-sched,-bench SchedCycle -benchtime=300x ./internal/core/)
 
 # Hierarchical-scale trajectory: one steady-state scheduling cycle with a
 # fixed 100-subscriber Zipf(1.1) hot set across 32 tenant groups while the
-# registered population sweeps 1k→1M, flight recorder off and on. Pinned in
-# BENCH_hier.json; per-cycle cost must stay flat within 2× across
-# the sweep (O(active groups + dispatched members), idle subscribers never
-# materialize) and allocs/op must stay 0. The generous benchtime amortizes
-# fixture-construction GC debt out of the per-op numbers.
+# registered population sweeps 1k→1M, flight recorder off and on. Per-cycle
+# cost must stay flat within 2× across the sweep (O(active groups +
+# dispatched members), idle subscribers never materialize) and allocs/op
+# must stay 0. The generous benchtime amortizes fixture-construction GC debt
+# out of the per-op numbers.
 bench-hier:
-	$(call benchgate,BENCH_hier.json,-bench HierCycle -benchtime=2000x ./internal/core/)
+	$(call benchgate,bench-hier,-bench HierCycle -benchtime=2000x ./internal/core/)
 
 # Zipf stress, short mode: the simulator-side hierarchical scenario (mostly
 # idle population across 16 tenant groups, Zipf-skewed hot set) with its
@@ -121,19 +116,18 @@ chaos-elastic:
 
 # Front-end tier scale trajectory: one steady-state tier-wide scheduling
 # cycle (128 subscribers over 32 rendezvous-partitioned groups) at 1, 2 and
-# 3 front ends. Pinned in BENCH_frontier.json; tier-wide per-cycle
-# cost must stay flat vs the single-RDN baseline (each instance does ~1/N of
-# the work) and allocs/op must stay 0.
+# 3 front ends. Tier-wide per-cycle cost must stay flat vs the single-RDN
+# baseline (each instance does ~1/N of the work) and allocs/op must stay 0.
 bench-frontier:
-	$(call benchgate,BENCH_frontier.json,-bench FrontierCycle -benchtime=2000x ./internal/frontier/)
+	$(call benchgate,bench-frontier,-bench FrontierCycle -benchtime=2000x ./internal/frontier/)
 
 # Unified-event-bus overhead trajectory: the raw ring publish and the
 # scheduler Tick with recorder + bus mirroring, next to the recorder-only
-# Tick baseline. Pinned in BENCH_obs.json; publish and bus-on Tick
-# must stay 0 allocs/op, and the bus's marginal Tick cost within ~10% of
-# the recorder-only path (the BENCH_sched recorder-on baseline).
+# Tick baseline. Publish and bus-on Tick must stay 0 allocs/op, and the
+# bus's marginal Tick cost within ~10% of the recorder-only path
+# (bench-sched's recorder-on lines).
 bench-obs:
-	$(call benchgate,BENCH_obs.json,-bench 'ObsPublish|ObsTickRecorderAndBus|FlightrecTickRecorderOn' \
+	$(call benchgate,bench-obs,-bench 'ObsPublish|ObsTickRecorderAndBus|FlightrecTickRecorderOn' \
 		-benchtime=50000x ./internal/obs/ ./internal/flightrec/)
 
 # End-to-end observability round trip through the CLI: replay a trace with

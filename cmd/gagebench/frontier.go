@@ -11,7 +11,7 @@ import (
 )
 
 // frontierBench prints the tier-scale per-cycle cost sweep — the numbers
-// make bench-frontier pins in BENCH_frontier.json.
+// make bench-frontier gates at 0 allocs/op.
 func frontierBench() error {
 	fmt.Println("== front-end tier per-cycle cost vs tier size ==")
 	fmt.Println("(128 subscribers over 32 groups; tier-wide cost must stay flat, so each")

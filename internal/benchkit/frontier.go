@@ -181,7 +181,7 @@ type FrontierCost struct {
 
 // MeasureFrontierScale measures the steady-state tier-wide cycle cost at
 // 1, 2 and 3 instances over the same population — the numbers gagebench
-// prints and make bench-frontier pins in BENCH_frontier.json.
+// prints and make bench-frontier gates at 0 allocs/op.
 func MeasureFrontierScale() ([]FrontierCost, error) {
 	var out []FrontierCost
 	for _, rdns := range []int{1, 2, 3} {

@@ -205,7 +205,7 @@ type HierCost struct {
 
 // MeasureHierScale measures the steady-state per-cycle cost at 1k/10k/100k/1M
 // registered subscribers across 32 groups, recorder off and on — the numbers
-// the gagebench CLI prints and make bench-hier pins in BENCH_hier.json. Flat
+// the gagebench CLI prints and make bench-hier gates at 0 allocs/op. Flat
 // cost across the sweep is the O(active)-per-cycle claim: the hot set is
 // pinned at 100 subscribers while the registered population grows 1000×.
 func MeasureHierScale() ([]HierCost, error) {

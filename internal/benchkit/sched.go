@@ -159,7 +159,7 @@ type SchedCost struct {
 
 // MeasureSchedScale measures the steady-state per-cycle scheduler cost at
 // 1k/10k/100k registered subscribers, recorder off and on — the numbers the
-// gagebench CLI prints and make bench-sched pins in BENCH_sched.json. Flat
+// gagebench CLI prints and make bench-sched gates at 0 allocs/op. Flat
 // cost across the sweep is the O(1)-per-decision claim.
 func MeasureSchedScale() ([]SchedCost, error) {
 	var out []SchedCost

@@ -362,7 +362,9 @@ func TestChaosOverloadDrill(t *testing.T) {
 
 // --- white-box unit tests for the chaosRun bookkeeping ---
 
-func chaosFixture(t *testing.T) (*core.Scheduler, *chaosRun, []*RPN) {
+// chaosFixture is a two-node book over one scheduler: the node records are
+// what newSim would have made for nodes 1 and 2.
+func chaosFixture(t *testing.T) (*core.Scheduler, *chaosRun, []*nodeEntry) {
 	t.Helper()
 	dir, err := qos.NewDirectory([]qos.Subscriber{
 		{ID: "a", Hosts: []string{"a.example"}, Reservation: 10},
@@ -370,34 +372,38 @@ func chaosFixture(t *testing.T) (*core.Scheduler, *chaosRun, []*RPN) {
 	if err != nil {
 		t.Fatalf("directory: %v", err)
 	}
-	rpns := []*RPN{NewRPN(1, 1, 12.5e6), NewRPN(2, 1, 12.5e6)}
+	nodes := []*nodeEntry{
+		newNodeEntry(NewRPN(1, 1, linkBandwidth), false),
+		newNodeEntry(NewRPN(2, 1, linkBandwidth), false),
+	}
 	cfgs := []core.NodeConfig{
-		{ID: 1, Capacity: rpns[0].Capacity()},
-		{ID: 2, Capacity: rpns[1].Capacity()},
+		{ID: 1, Capacity: nodes[0].rpn.Capacity()},
+		{ID: 2, Capacity: nodes[1].rpn.Capacity()},
 	}
 	sched, err := core.New(dir, cfgs, core.Config{})
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	return sched, newChaosRun(rpns, []*frontEnd{{id: 1, sched: sched, alive: true}}), rpns
+	return sched, newChaosRun([]*frontEnd{{id: 1, sched: sched, alive: true}}, nil), nodes
 }
 
 func TestChaosRunMissedStreakDisablesAndReportReenables(t *testing.T) {
-	sched, cs, _ := chaosFixture(t)
+	sched, cs, nodes := chaosFixture(t)
+	n1 := nodes[0]
 	now := time.Unix(0, 0)
 	for i := 0; i < unhealthyAfterMissedAcct-1; i++ {
-		cs.missAcct(1, now)
+		cs.missAcct(n1, now)
 		if !sched.NodeEnabled(1) {
 			t.Fatalf("node disabled after %d misses, threshold is %d", i+1, unhealthyAfterMissedAcct)
 		}
 	}
-	cs.missAcct(1, now)
+	cs.missAcct(n1, now)
 	if sched.NodeEnabled(1) {
 		t.Fatal("node not disabled at the missed-accounting streak threshold")
 	}
 	// The first delivered report re-enables the node — but at the bottom of
 	// the slow-start ramp, not at full weight.
-	cs.ackAcct(1, now)
+	cs.ackAcct(n1, now)
 	if !sched.NodeEnabled(1) {
 		t.Fatal("a delivered report must re-enable the node")
 	}
@@ -408,7 +414,7 @@ func TestChaosRunMissedStreakDisablesAndReportReenables(t *testing.T) {
 	// One step per accounting cycle back to full capacity.
 	prev := wantStart
 	for i := 0; i < slowStartAcctCycles; i++ {
-		cs.tickAcct(1, now)
+		cs.tickAcct(n1, now)
 		w, _ := sched.NodeWeight(1)
 		if w < prev {
 			t.Fatalf("ramp went backwards at cycle %d: %v -> %v", i+1, prev, w)
@@ -425,9 +431,10 @@ func TestChaosRunMissedStreakDisablesAndReportReenables(t *testing.T) {
 }
 
 func TestChaosRunDeliverAcctStaleAndEpoch(t *testing.T) {
-	_, cs, _ := chaosFixture(t)
+	_, cs, nodes := chaosFixture(t)
+	n1 := nodes[0]
 	mk := func(seq, epoch int, cpu time.Duration) acctMsg {
-		return acctMsg{seq: seq, epoch: epoch, cum: core.UsageReport{
+		return acctMsg{node: n1, seq: seq, epoch: epoch, cum: core.UsageReport{
 			Node:  1,
 			Total: qos.Vector{CPUTime: cpu},
 			BySubscriber: map[qos.SubscriberID]core.SubscriberUsage{
@@ -436,21 +443,21 @@ func TestChaosRunDeliverAcctStaleAndEpoch(t *testing.T) {
 		}}
 	}
 
-	d1, ok := cs.deliverAcct(1, mk(0, 0, 10*time.Millisecond))
+	d1, ok := cs.deliverAcct(mk(0, 0, 10*time.Millisecond))
 	if !ok || d1.Total.CPUTime != 10*time.Millisecond {
 		t.Fatalf("first delivery: delta=%v ok=%v", d1.Total, ok)
 	}
-	d2, ok := cs.deliverAcct(1, mk(2, 0, 30*time.Millisecond))
+	d2, ok := cs.deliverAcct(mk(2, 0, 30*time.Millisecond))
 	if !ok || d2.Total.CPUTime != 20*time.Millisecond {
 		t.Fatalf("in-order delivery: delta=%v ok=%v, want 20ms delta", d2.Total, ok)
 	}
 	// seq 1 was overtaken by seq 2 inside a delay window: stale, ignored.
-	if _, ok := cs.deliverAcct(1, mk(1, 0, 20*time.Millisecond)); ok {
+	if _, ok := cs.deliverAcct(mk(1, 0, 20*time.Millisecond)); ok {
 		t.Fatal("stale out-of-order message was accepted; it would double-count usage")
 	}
 	// New epoch: the node rebooted and counters restarted — the fresh
 	// cumulative IS the delta even though it is smaller than the last seen.
-	d3, ok := cs.deliverAcct(1, mk(0, 1, 5*time.Millisecond))
+	d3, ok := cs.deliverAcct(mk(0, 1, 5*time.Millisecond))
 	if !ok || d3.Total.CPUTime != 5*time.Millisecond {
 		t.Fatalf("post-crash delivery: delta=%v ok=%v, want 5ms delta", d3.Total, ok)
 	}
@@ -460,35 +467,36 @@ func TestChaosRunDeliverAcctStaleAndEpoch(t *testing.T) {
 }
 
 func TestChaosRunCrashReclaimsInflight(t *testing.T) {
-	_, cs, rpns := chaosFixture(t)
+	_, cs, nodes := chaosFixture(t)
+	n1, n2 := nodes[0], nodes[1]
 	// A second front end that has itself crashed since dispatching: its
 	// charge died with its scheduler, so the reclaim must not touch it (a
 	// release on the nil scheduler would panic).
 	dead := &frontEnd{id: 2}
 	cs.fronts = append(cs.fronts, dead)
-	cs.track(1, 101, "a", cs.fronts[0])
-	cs.track(1, 102, "a", dead)
-	cs.track(2, 201, "a", cs.fronts[0])
-	epochBefore := rpns[0].Epoch()
-	cs.crash(rpns[0])
+	cs.track(n1, 101, "a", cs.fronts[0])
+	cs.track(n1, 102, "a", dead)
+	cs.track(n2, 201, "a", cs.fronts[0])
+	epochBefore := n1.rpn.Epoch()
+	cs.crash(n1)
 	if cs.reclaimed != 2 {
 		t.Errorf("reclaimed = %d, want 2 (only node 1's in-flight work)", cs.reclaimed)
 	}
-	if len(cs.inflight[1]) != 0 || len(cs.inflight[2]) != 1 {
-		t.Errorf("inflight after crash: node1=%d node2=%d, want 0 and 1", len(cs.inflight[1]), len(cs.inflight[2]))
+	if len(n1.inflight) != 0 || len(n2.inflight) != 1 {
+		t.Errorf("inflight after crash: node1=%d node2=%d, want 0 and 1", len(n1.inflight), len(n2.inflight))
 	}
-	if rpns[0].Epoch() != epochBefore+1 {
+	if n1.rpn.Epoch() != epochBefore+1 {
 		t.Error("crash must bump the node's epoch")
 	}
-	if !cs.crashed[1] {
+	if !n1.crashed {
 		t.Error("node 1 not marked crashed")
 	}
-	cs.recover(1)
-	if cs.crashed[1] {
+	cs.recover(n1)
+	if n1.crashed {
 		t.Error("node 1 still marked crashed after recovery")
 	}
-	cs.complete(2, 201)
-	if got := cs.delivered + cs.reclaimed + cs.inflightTotal(); got != cs.dispatched {
+	cs.complete(n2, 201)
+	if got := cs.delivered + cs.reclaimed + len(n1.inflight) + len(n2.inflight); got != cs.dispatched {
 		t.Errorf("settlement: dispatched=%d, delivered+reclaimed+inflight=%d", cs.dispatched, got)
 	}
 }

@@ -148,7 +148,6 @@ func ElasticityDrillOptions(rec *flightrec.Recorder) Options {
 // admission event to the simulation's (single) front end and keeps the
 // outcome log.
 type elasticState struct {
-	cfg admitctl.Config
 	sim *sim
 
 	orphaned           int
@@ -156,23 +155,21 @@ type elasticState struct {
 	log                []AdmissionOutcome
 }
 
-func (es *elasticState) annotate(ev flightrec.TierEvent) {
-	if rec := es.sim.fronts[0].rec; rec != nil {
-		rec.Annotate(ev)
-	}
-}
+// admitPolicy is the scripted plane's admission policy: admitctl's default,
+// under which reservations may commit all of the enabled capacity.
+var admitPolicy = admitctl.Config{}
 
 // apply executes one scripted event against the live run. Refusals — policy
 // or mechanical — change nothing; every outcome lands in the log.
 func (es *elasticState) apply(ev AdmissionEvent) {
 	s := es.sim
-	sched := s.fronts[0].sched
+	sched, rec := s.fronts[0].sched, s.fronts[0].rec
 	out := AdmissionOutcome{At: ev.At, Kind: ev.Kind, Node: ev.Node}
 	switch ev.Kind {
 	case AdmitSubscriber:
 		sub := ev.Subscriber
 		out.Subscriber = sub.ID
-		d := admitctl.Evaluate(es.cfg, sched.TotalReservation(), sub.Reservation, sched.EnabledCapacity())
+		d := admitctl.Evaluate(admitPolicy, sched.TotalReservation(), sub.Reservation, sched.EnabledCapacity())
 		out.Decision = d
 		if !d.Accepted {
 			break
@@ -182,10 +179,8 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 			break
 		}
 		s.dyn.Add(sub.ID, sub.Hosts...)
-		s.defsNow[sub.ID] = sub
-		s.floors[sub.ID] = sub.Reservation.PerCycle(s.opts.CreditWindow).Neg()
-		s.ensureSub(sub.ID)
-		es.annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
+		s.define(sub)
+		rec.Annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
 		out.Applied = true
 
 	case ResizeSubscriber:
@@ -195,7 +190,7 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 			out.Err = fmt.Sprintf("unknown subscriber %q", ev.SubscriberID)
 			break
 		}
-		d := admitctl.Evaluate(es.cfg, sched.TotalReservation(), ev.Reservation-old, sched.EnabledCapacity())
+		d := admitctl.Evaluate(admitPolicy, sched.TotalReservation(), ev.Reservation-old, sched.EnabledCapacity())
 		out.Decision = d
 		if !d.Accepted {
 			break
@@ -204,11 +199,10 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 			out.Err = err.Error()
 			break
 		}
-		def := s.defsNow[ev.SubscriberID]
+		def := s.subs[ev.SubscriberID].def
 		def.Reservation = ev.Reservation
-		s.defsNow[ev.SubscriberID] = def
-		s.floors[ev.SubscriberID] = ev.Reservation.PerCycle(s.opts.CreditWindow).Neg()
-		es.annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(ev.SubscriberID), From: int(old), To: int(ev.Reservation)})
+		s.define(def)
+		rec.Annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(ev.SubscriberID), From: int(old), To: int(ev.Reservation)})
 		out.Applied = true
 
 	case RemoveSubscriber:
@@ -218,7 +212,7 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 			out.Err = fmt.Sprintf("unknown subscriber %q", ev.SubscriberID)
 			break
 		}
-		out.Decision = admitctl.Evaluate(es.cfg, sched.TotalReservation(), -old, sched.EnabledCapacity())
+		out.Decision = admitctl.Evaluate(admitPolicy, sched.TotalReservation(), -old, sched.EnabledCapacity())
 		orphans, err := sched.RemoveSubscriber(ev.SubscriberID)
 		if err != nil {
 			out.Err = err.Error()
@@ -226,10 +220,9 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 		}
 		s.dyn.Remove(ev.SubscriberID)
 		es.orphaned += len(orphans)
-		delete(s.floors, ev.SubscriberID)
-		// defsNow keeps the final definition so the removed subscriber's
-		// result row still assembles, frozen at its last reservation.
-		es.annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(ev.SubscriberID), From: int(old)})
+		// The record stays: the removed subscriber's result row still
+		// assembles, frozen at its last reservation.
+		rec.Annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(ev.SubscriberID), From: int(old)})
 		out.Applied = true
 
 	case AddNode:
@@ -239,29 +232,29 @@ func (es *elasticState) apply(ev AdmissionEvent) {
 		}
 		// Growing the pool cannot break a guarantee; the zero-delta
 		// evaluation records the post-add committed/capacity state.
-		out.Decision = admitctl.Evaluate(es.cfg, sched.TotalReservation(), 0, sched.EnabledCapacity())
-		es.annotate(flightrec.TierEvent{Kind: "node-add", To: int(ev.Node)})
+		out.Decision = admitctl.Evaluate(admitPolicy, sched.TotalReservation(), 0, sched.EnabledCapacity())
+		rec.Annotate(flightrec.TierEvent{Kind: "node-add", To: int(ev.Node)})
 		out.Applied = true
 
 	case DrainNode:
-		r, ok := s.byID[ev.Node]
+		n, ok := s.nodeByID[ev.Node]
 		if !ok {
 			out.Err = fmt.Sprintf("unknown node %d", ev.Node)
 			break
 		}
 		// A breaker-disabled node backs no guarantees, so draining it
 		// removes nothing from the feasibility inequality.
-		leaving := r.Capacity()
+		leaving := n.rpn.Capacity()
 		if !sched.NodeEnabled(ev.Node) {
 			leaving = qos.Vector{}
 		}
-		d := admitctl.NodeRemovalFeasible(es.cfg, sched.TotalReservation(), sched.EnabledCapacity(), leaving)
+		d := admitctl.NodeRemovalFeasible(admitPolicy, sched.TotalReservation(), sched.EnabledCapacity(), leaving)
 		out.Decision = d
 		if !d.Accepted && !ev.Force {
 			break
 		}
-		s.book.drain(ev.Node)
-		es.annotate(flightrec.TierEvent{Kind: "node-drain", To: int(ev.Node)})
+		s.book.drain(n)
+		rec.Annotate(flightrec.TierEvent{Kind: "node-drain", To: int(ev.Node)})
 		out.Applied = true
 
 	default:

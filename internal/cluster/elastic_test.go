@@ -188,3 +188,41 @@ func TestElasticityDrillReplayable(t *testing.T) {
 		t.Errorf("counters differ: %+v vs %+v", ca, cb)
 	}
 }
+
+// TestResultKeySets pins what result() assembles from the records: every
+// per-subscriber map holds exactly the subscribers ever defined — the removed
+// site3 included, the refused site4 not — every per-node map exactly the
+// nodes that ever joined, and the rows come in subscriber-ID order.
+func TestResultKeySets(t *testing.T) {
+	res, err := Run(drillOptions(nil))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	wantSubs := []qos.SubscriberID{"site1", "site2", "site3"}
+	wantNodes := []core.NodeID{1, 2, 3}
+	if got := sortedKeys(res.Series); !reflect.DeepEqual(got, wantSubs) {
+		t.Errorf("Series keys = %v, want %v", got, wantSubs)
+	}
+	if got := sortedKeys(res.Observed); !reflect.DeepEqual(got, wantSubs) {
+		t.Errorf("Observed keys = %v, want %v", got, wantSubs)
+	}
+	if got := sortedKeys(res.LatencyHist); !reflect.DeepEqual(got, wantSubs) {
+		t.Errorf("LatencyHist keys = %v, want %v", got, wantSubs)
+	}
+	if got := sortedKeys(res.NodeWeights); !reflect.DeepEqual(got, wantNodes) {
+		t.Errorf("NodeWeights keys = %v, want %v", got, wantNodes)
+	}
+	if got := sortedKeys(res.NodeDispatches); !reflect.DeepEqual(got, wantNodes) {
+		t.Errorf("NodeDispatches keys = %v, want %v", got, wantNodes)
+	}
+	var rows []qos.SubscriberID
+	for _, row := range res.Rows {
+		rows = append(rows, row.ID)
+	}
+	if !reflect.DeepEqual(rows, wantSubs) {
+		t.Errorf("row order = %v, want %v", rows, wantSubs)
+	}
+	if site3, _ := res.Row("site3"); site3.Reservation != 60 {
+		t.Errorf("removed site3's row reservation = %v, want it frozen at 60", site3.Reservation)
+	}
+}

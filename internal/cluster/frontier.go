@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -17,6 +18,10 @@ import (
 // capacity so its scheduler stays constructible and can absorb a handback.
 const minCapacityShare = 0.001
 
+// beatsPerLease is how many heartbeats an instance sends per lease interval:
+// a lease survives three lost beats.
+const beatsPerLease = 4
+
 // FrontierOptions configures a multi-RDN front-end tier run: the base
 // experiment options plus the tier shape. Every Options field means what it
 // means to Run — Bus, TraceEvery and Auditor included — except that
@@ -31,10 +36,9 @@ type FrontierOptions struct {
 	// fault events are ignored.
 	RDNCount int
 	// LeaseInterval is how long an instance may stay silent before its lease
-	// expires and its partition is taken over (default 1s).
+	// expires and its partition is taken over (default 1s); it beats
+	// beatsPerLease times in each.
 	LeaseInterval time.Duration
-	// BeatInterval is the heartbeat period (default LeaseInterval/4).
-	BeatInterval time.Duration
 	// Recorders, when non-nil, holds one flight recorder per RDN
 	// (index rdn−1); missing or nil slots record nothing.
 	Recorders []*flightrec.Recorder
@@ -47,9 +51,6 @@ func (o FrontierOptions) withFrontierDefaults() FrontierOptions {
 	}
 	if o.LeaseInterval <= 0 {
 		o.LeaseInterval = time.Second
-	}
-	if o.BeatInterval <= 0 {
-		o.BeatInterval = o.LeaseInterval / 4
 	}
 	return o
 }
@@ -102,8 +103,8 @@ type FrontierResult struct {
 // the lease table and the partition geography the hops route through.
 type tier struct {
 	table *frontier.Table
-	// Group geography: subscriber→group, member lists, aggregate reservations.
-	groupOf   map[qos.SubscriberID]string
+	// Group geography: member lists and aggregate reservations (a
+	// subscriber's own group is in its record's definition).
 	groupSubs map[string][]qos.Subscriber
 	groupRes  map[string]qos.GRPS
 	totalRes  qos.GRPS
@@ -133,12 +134,10 @@ func RunFrontier(opts FrontierOptions) (*FrontierResult, error) {
 // partition's subscribers on its reservation share of every RPN.
 func (s *sim) buildTier() error {
 	t := &tier{
-		groupOf:   make(map[qos.SubscriberID]string, len(s.opts.Subscribers)),
 		groupSubs: make(map[string][]qos.Subscriber),
 		groupRes:  make(map[string]qos.GRPS),
 	}
 	for _, sub := range s.opts.Subscribers {
-		t.groupOf[sub.ID] = sub.Group
 		t.groupSubs[sub.Group] = append(t.groupSubs[sub.Group], sub)
 		t.groupRes[sub.Group] += sub.Reservation
 		t.totalRes += sub.Reservation
@@ -152,7 +151,8 @@ func (s *sim) buildTier() error {
 	s.tier = t
 	s.fronts = make([]*frontEnd, s.opts.RDNCount)
 	for i := range s.fronts {
-		s.fronts[i] = &frontEnd{id: i + 1, alive: true, grant: make(map[string]uint64)}
+		s.fronts[i] = &frontEnd{id: i + 1, alive: true, grant: make(map[string]uint64),
+			report: core.UsageReport{BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage)}}
 	}
 	for _, g := range groups {
 		own, _ := t.table.Owner(g)
@@ -175,12 +175,12 @@ func (s *sim) buildTier() error {
 	return nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -214,8 +214,8 @@ func (s *sim) rebalance() {
 // owner resolves a subscriber's current partition owner; nil while that
 // instance is dead — the partition is dark until the lease expires and a
 // survivor takes over.
-func (s *sim) owner(sub qos.SubscriberID) *frontEnd {
-	own, found := s.tier.table.Owner(s.tier.groupOf[sub])
+func (s *sim) owner(e *subEntry) *frontEnd {
+	own, found := s.tier.table.Owner(e.def.Group)
 	if !found || !s.fronts[own.RDN-1].alive {
 		return nil
 	}
@@ -237,7 +237,7 @@ func (s *sim) route(req *workload.Request) *frontEnd {
 		}
 		return nil
 	}
-	fe := s.owner(sub)
+	fe := s.owner(s.subs[sub])
 	if fe == nil {
 		s.enqueueHop(req)
 	}
@@ -245,26 +245,31 @@ func (s *sim) route(req *workload.Request) *frontEnd {
 }
 
 // reportByOwner splits one RPN's usage delta by current partition ownership
-// so each subscriber's usage debits exactly one scheduler.
+// so each subscriber's usage debits exactly one scheduler. Each instance's
+// slice is built in its own reusable report: ReportUsage reads the report
+// under the scheduler's lock and keeps nothing of it, so the next message
+// may clear and refill it.
 func (s *sim) reportByOwner(delta core.UsageReport) {
-	per := make([]*core.UsageReport, len(s.fronts))
+	for _, fe := range s.fronts {
+		clear(fe.report.BySubscriber)
+		fe.report.Node, fe.report.Total = delta.Node, qos.Vector{}
+	}
 	for sub, u := range delta.BySubscriber {
-		fe := s.owner(sub)
+		e := s.subs[sub]
+		if e == nil {
+			continue
+		}
+		fe := s.owner(e)
 		if fe == nil {
 			continue // ownerless span: usage of a dead partition
 		}
-		rep := per[fe.id-1]
-		if rep == nil {
-			rep = &core.UsageReport{Node: delta.Node, BySubscriber: make(map[qos.SubscriberID]core.SubscriberUsage)}
-			per[fe.id-1] = rep
-		}
-		rep.BySubscriber[sub] = u
-		rep.Total = rep.Total.Add(u.Usage)
+		fe.report.BySubscriber[sub] = u
+		fe.report.Total = fe.report.Total.Add(u.Usage)
 	}
-	for i, rep := range per {
-		if rep != nil {
+	for _, fe := range s.fronts {
+		if len(fe.report.BySubscriber) > 0 {
 			// Reports for known nodes cannot fail.
-			_ = s.fronts[i].sched.ReportUsage(*rep)
+			_ = fe.sched.ReportUsage(fe.report)
 		}
 	}
 }
@@ -308,8 +313,8 @@ func (s *sim) recoverFront(fe *frontEnd) {
 	fe.sched, fe.alive = sc, true
 	if fe.rec != nil {
 		sc.SetRecorder(fe.rec)
-		fe.rec.Annotate(flightrec.TierEvent{Kind: "rdn-recover", To: fe.id})
 	}
+	fe.rec.Annotate(flightrec.TierEvent{Kind: "rdn-recover", To: fe.id})
 }
 
 // beat is the lease heartbeat: each live instance exports accounting
@@ -402,12 +407,10 @@ func (s *sim) applyChange(ch frontier.Change, off time.Duration) {
 			s.handedOff++
 		}
 	}
-	if to.rec != nil {
-		to.rec.Annotate(flightrec.TierEvent{
-			Kind: ch.Kind.String(), Group: ch.Group,
-			From: ch.From, To: ch.To, Epoch: ch.Epoch,
-		})
-	}
+	to.rec.Annotate(flightrec.TierEvent{
+		Kind: ch.Kind.String(), Group: ch.Group,
+		From: ch.From, To: ch.To, Epoch: ch.Epoch,
+	})
 	s.takeovers = append(s.takeovers, TierChange{
 		At: off, Group: ch.Group, From: ch.From, To: ch.To,
 		Epoch: ch.Epoch, Kind: ch.Kind.String(),

@@ -17,6 +17,18 @@ import (
 	"gage/internal/workload"
 )
 
+// The simulated testbed's fixed wiring — the paper's, and nothing any
+// experiment varies.
+const (
+	// linkBandwidth is each RPN's outbound bandwidth: Fast Ethernet, in
+	// bytes/sec.
+	linkBandwidth = 12.5e6
+	// dispatchLatency delays a dispatched request RDN→RPN and
+	// feedbackLatency an accounting message RPN→RDN.
+	dispatchLatency = 100 * time.Microsecond
+	feedbackLatency = 200 * time.Microsecond
+)
+
 // Options configures one simulated experiment run.
 type Options struct {
 	// Subscribers defines the sites and reservations.
@@ -33,18 +45,11 @@ type Options struct {
 	// RPNSpeed scales each RPN's CPU/disk rate (1.0 = nominal 1 resource-
 	// second per second). Use it to set aggregate cluster capacity.
 	RPNSpeed float64
-	// LinkBandwidth is each RPN's outbound bandwidth in bytes/sec
-	// (default: Fast Ethernet, 12.5 MB/s).
-	LinkBandwidth float64
 
 	// SchedCycle is the RDN scheduling cycle (default 10 ms, §3.4).
 	SchedCycle time.Duration
 	// AcctCycle is the accounting cycle (default 100 ms).
 	AcctCycle time.Duration
-	// FeedbackLatency delays accounting messages RPN→RDN (default 200 µs).
-	FeedbackLatency time.Duration
-	// DispatchLatency delays dispatched requests RDN→RPN (default 100 µs).
-	DispatchLatency time.Duration
 
 	// Gate selects the scheduler's reservation-gate mode.
 	Gate core.GateMode
@@ -116,13 +121,11 @@ type Options struct {
 	// Admissions, when non-empty, is the deterministic elasticity schedule:
 	// scripted subscriber admissions/resizes/removals and node add/drain
 	// events applied at exact virtual times through the same admitctl policy
-	// the live control plane runs. Event offsets count from the start of the
+	// the live control plane runs, at its default headroom (reservations may
+	// commit all enabled capacity). Event offsets count from the start of the
 	// run (warmup included), like Faults. Same (workload, schedule) ⇒
 	// identical Result and AdmissionLog.
 	Admissions []AdmissionEvent
-	// AdmitHeadroom is the fraction of enabled capacity the admission policy
-	// lets reservations commit, in (0, 1]; 0 selects the policy default 1.0.
-	AdmitHeadroom float64
 
 	// Warmup is excluded from all measurements; Duration is the measured
 	// window after warmup.
@@ -137,22 +140,11 @@ func (o Options) withDefaults() Options {
 	if o.RPNSpeed <= 0 {
 		o.RPNSpeed = 1
 	}
-	if o.LinkBandwidth <= 0 {
-		o.LinkBandwidth = 12.5e6
-	}
 	if o.SchedCycle <= 0 {
 		o.SchedCycle = core.DefaultCycle
 	}
 	if o.AcctCycle <= 0 {
 		o.AcctCycle = 100 * time.Millisecond
-	}
-	if o.FeedbackLatency < 0 {
-		o.FeedbackLatency = 0
-	} else if o.FeedbackLatency == 0 {
-		o.FeedbackLatency = 200 * time.Microsecond
-	}
-	if o.DispatchLatency == 0 {
-		o.DispatchLatency = 100 * time.Microsecond
 	}
 	if o.CreditWindow <= 0 {
 		o.CreditWindow = max(core.DefaultCreditWindow, 2*o.AcctCycle)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"gage/internal/admitctl"
 	"gage/internal/classify"
 	"gage/internal/core"
 	"gage/internal/faults"
@@ -35,6 +34,45 @@ type frontEnd struct {
 	grant map[string]uint64
 	// busyAtWindowStart snapshots cpu.busy when measurement begins.
 	busyAtWindowStart time.Duration
+	// report is the instance's slice of the accounting message being split
+	// by ownership (tier only), reused from one message to the next.
+	report core.UsageReport
+}
+
+// subEntry is one subscriber's row of simulator state: what it is now and
+// everything measured about it. It is made when the subscriber is defined —
+// at the start or by a scripted admission — and never dropped, so a removed
+// subscriber's requests still in flight settle into it and its result row
+// still assembles. Only the admission plane writes def and floor; only the
+// hops write the measurements.
+type subEntry struct {
+	// def is the current definition (tenant group included) through scripted
+	// resizes; a removed subscriber keeps its last.
+	def qos.Subscriber
+	// floor is the balance clamp floor for the per-tick audit: no balance may
+	// ever sit below −reservation×CreditWindow.
+	floor qos.Vector
+
+	// Window-only measurements: generic units and request counts offered,
+	// served and dropped; completion and RDN-observed usage samples; and the
+	// served requests' latencies, exact and as the live histogram type.
+	offered, served, dropped             float64
+	offeredReqs, servedReqs, droppedReqs int
+	series, observed                     metrics.Series
+	latencies                            []float64
+	latHist                              *telemetry.Histogram
+}
+
+// define installs a subscriber's definition — new, re-admitted or resized —
+// and the clamp floor that follows from it.
+func (s *sim) define(def qos.Subscriber) {
+	e := s.subs[def.ID]
+	if e == nil {
+		e = &subEntry{latHist: telemetry.NewHistogram()}
+		s.subs[def.ID] = e
+	}
+	e.def = def
+	e.floor = def.Reservation.PerCycle(s.opts.CreditWindow).Neg()
 }
 
 // flight carries one dispatch decision across its wire-latency and
@@ -43,17 +81,12 @@ type frontEnd struct {
 // so the dispatch chain schedules allocation-free.
 type flight struct {
 	req       *workload.Request
-	node      *RPN
+	sub       *subEntry
+	node      *nodeEntry
 	front     *frontEnd
 	grant     uint64
 	epoch     int
 	effective qos.Vector
-}
-
-// acctFlight carries one accounting message across its feedback-latency hop.
-type acctFlight struct {
-	node core.NodeID
-	msg  acctMsg
 }
 
 // freeList recycles a hop's carriers within a run.
@@ -78,8 +111,8 @@ func (l *freeList[T]) put(x *T) {
 }
 
 // sim is the one simulator event loop behind Run and RunFrontier: an engine,
-// the RPNs, one feedback book, a slice of front ends and the measurement
-// accumulators. With one front end (RDNCount 1) tier is nil and every hop
+// one record per RPN and per subscriber, one feedback book and a slice of
+// front ends. With one front end (RDNCount 1) tier is nil and every hop
 // takes its direct branch — no lease table, no heartbeats, no per-arrival
 // routing, no accounting split. With more, tier holds the lease table and
 // partition geography and the same hops route through it.
@@ -89,8 +122,12 @@ type sim struct {
 	// start is the run's virtual origin; measurement begins at measureFrom.
 	start, measureFrom time.Time
 
-	rpns   []*RPN
-	byID   map[core.NodeID]*RPN
+	// nodes holds the RPN records in joining order — the order their
+	// accounting cycles were registered in — and nodeByID indexes them.
+	nodes    []*nodeEntry
+	nodeByID map[core.NodeID]*nodeEntry
+	// subs indexes the record of every subscriber ever defined.
+	subs   map[qos.SubscriberID]*subEntry
 	fronts []*frontEnd
 	book   *chaosRun
 	tier   *tier
@@ -101,25 +138,7 @@ type sim struct {
 	classifier classify.Classifier
 	// dyn resolves subscribers admitted at runtime.
 	dyn *classify.DynamicClassifier
-	// defsNow tracks each subscriber's current definition through scripted
-	// admissions and resizes; a removed subscriber keeps its final entry so
-	// its result row still assembles.
-	defsNow map[qos.SubscriberID]qos.Subscriber
-	// floors are the balance clamp floors for the per-tick audit: no balance
-	// may ever sit below −reservation×CreditWindow.
-	floors map[qos.SubscriberID]qos.Vector
 
-	// Measurement accumulators, window-only unless noted.
-	tp             *metrics.Throughput
-	series         map[qos.SubscriberID]*metrics.Series
-	observed       map[qos.SubscriberID]*metrics.Series
-	latencies      map[qos.SubscriberID][]float64
-	latHist        map[qos.SubscriberID]*telemetry.Histogram
-	offeredReqs    map[qos.SubscriberID]int
-	servedReqs     map[qos.SubscriberID]int
-	droppedReqs    map[qos.SubscriberID]int
-	nodeWeights    map[core.NodeID]*metrics.Series
-	nodeDispatches map[core.NodeID]*metrics.Series
 	// Whole-run admission counters.
 	admitted, shed, refusedDead int
 	// Whole-run tier migration counters and timeline.
@@ -130,7 +149,7 @@ type sim struct {
 	// a pointer through a method value bound once, so the request chain
 	// allocates no closure per event.
 	flightFree freeList[flight]
-	acctFree   freeList[acctFlight]
+	acctFree   freeList[acctMsg]
 	enqueueFn  func(any)
 	deliverFn  func(any)
 	finishFn   func(any)
@@ -159,17 +178,19 @@ func newSim(opts FrontierOptions) (*sim, error) {
 		return nil, err
 	}
 	s := &sim{
-		opts:   opts,
-		engine: vclock.NewEngine(time.Time{}),
-		rpns:   make([]*RPN, opts.NumRPNs),
-		byID:   make(map[core.NodeID]*RPN, opts.NumRPNs),
-		dyn:    classify.NewDynamicClassifier(),
+		opts:     opts,
+		engine:   vclock.NewEngine(time.Time{}),
+		nodeByID: make(map[core.NodeID]*nodeEntry, opts.NumRPNs),
+		subs:     make(map[qos.SubscriberID]*subEntry, dir.Len()),
+		dyn:      classify.NewDynamicClassifier(),
 	}
 	s.start = s.engine.Now()
 	s.measureFrom = s.start.Add(opts.Warmup)
-	for i := range s.rpns {
-		s.rpns[i] = s.newRPN(core.NodeID(i+1), opts.RPNSpeed)
-		s.byID[s.rpns[i].id] = s.rpns[i]
+	for i := 0; i < opts.NumRPNs; i++ {
+		s.join(newNodeEntry(s.newRPN(core.NodeID(i+1), opts.RPNSpeed), false))
+	}
+	for _, sub := range opts.Subscribers {
+		s.define(sub)
 	}
 	if opts.RDNCount > 1 {
 		if err := s.buildTier(); err != nil {
@@ -193,8 +214,7 @@ func newSim(opts FrontierOptions) (*sim, error) {
 			return nil, err
 		}
 	}
-	s.book = newChaosRun(s.rpns, s.fronts)
-	s.book.bus = opts.Bus
+	s.book = newChaosRun(s.fronts, opts.Bus)
 
 	// Admitted-at-runtime subscribers resolve through a dynamic classifier
 	// chained after the static directory one; the chain is skipped entirely
@@ -204,14 +224,7 @@ func newSim(opts FrontierOptions) (*sim, error) {
 	if len(opts.Admissions) > 0 {
 		s.classifier = classify.Chain{s.classifier, s.dyn}
 	}
-	s.defsNow = make(map[qos.SubscriberID]qos.Subscriber, dir.Len())
-	s.floors = make(map[qos.SubscriberID]qos.Vector, dir.Len())
-	for _, sub := range opts.Subscribers {
-		s.defsNow[sub.ID] = sub
-		s.floors[sub.ID] = sub.Reservation.PerCycle(opts.CreditWindow).Neg()
-	}
 	s.wireObservers()
-	s.initMeasurement(dir.IDs())
 	s.enqueueFn, s.deliverFn, s.finishFn, s.acctFn = s.enqueueHop, s.deliverHop, s.finishHop, s.acctHop
 	return s, nil
 }
@@ -228,23 +241,29 @@ func (s *sim) coreConfig() core.Config {
 }
 
 func (s *sim) newRPN(id core.NodeID, speed float64) *RPN {
-	r := NewRPN(id, speed, s.opts.LinkBandwidth)
+	r := NewRPN(id, speed, linkBandwidth)
 	r.SetOverhead(s.opts.RPNOverhead)
 	r.SetCache(s.opts.CacheEntries)
 	return r
+}
+
+// join adds a node's record to the pool.
+func (s *sim) join(n *nodeEntry) {
+	s.nodes = append(s.nodes, n)
+	s.nodeByID[n.rpn.id] = n
 }
 
 // nodeConfigs declares every RPN to a scheduler at the given share of its
 // capacity: 1 for a lone front end, its partition's reservation share for a
 // tier member.
 func (s *sim) nodeConfigs(share float64) []core.NodeConfig {
-	cfgs := make([]core.NodeConfig, len(s.rpns))
-	for i, r := range s.rpns {
-		c := r.Capacity()
+	cfgs := make([]core.NodeConfig, len(s.nodes))
+	for i, n := range s.nodes {
+		c := n.rpn.Capacity()
 		if share != 1 {
 			c = c.Scale(share)
 		}
-		cfgs[i] = core.NodeConfig{ID: r.id, Capacity: c}
+		cfgs[i] = core.NodeConfig{ID: n.rpn.id, Capacity: c}
 	}
 	return cfgs
 }
@@ -309,36 +328,6 @@ func (s *sim) arrivalFeed() func() (time.Time, any, bool) {
 	}
 }
 
-func (s *sim) initMeasurement(subs []qos.SubscriberID) {
-	s.tp = metrics.NewThroughput()
-	s.series = make(map[qos.SubscriberID]*metrics.Series, len(subs))
-	s.observed = make(map[qos.SubscriberID]*metrics.Series, len(subs))
-	s.latencies = make(map[qos.SubscriberID][]float64, len(subs))
-	s.latHist = make(map[qos.SubscriberID]*telemetry.Histogram, len(subs))
-	s.offeredReqs = make(map[qos.SubscriberID]int)
-	s.servedReqs = make(map[qos.SubscriberID]int)
-	s.droppedReqs = make(map[qos.SubscriberID]int)
-	for _, id := range subs {
-		s.ensureSub(id)
-	}
-	s.nodeWeights = make(map[core.NodeID]*metrics.Series, len(s.rpns))
-	s.nodeDispatches = make(map[core.NodeID]*metrics.Series, len(s.rpns))
-	for _, r := range s.rpns {
-		s.nodeWeights[r.id] = &metrics.Series{}
-		s.nodeDispatches[r.id] = &metrics.Series{}
-	}
-}
-
-// ensureSub gives a subscriber its measurement series; idempotent, so a
-// scripted admission can call it for a newcomer.
-func (s *sim) ensureSub(id qos.SubscriberID) {
-	if s.series[id] == nil {
-		s.series[id] = &metrics.Series{}
-		s.observed[id] = &metrics.Series{}
-		s.latHist[id] = telemetry.NewHistogram()
-	}
-}
-
 func (s *sim) inWindow(t time.Time) bool { return !t.Before(s.measureFrom) }
 
 // units converts a usage vector to generic units: a single resource
@@ -383,14 +372,14 @@ func (s *sim) run() error {
 	s.engine.Feed(s.arriveHop, s.arrivalFeed())
 	s.scheduleFaults()
 	s.engine.Every(s.opts.SchedCycle, s.tick)
-	for _, r := range s.rpns {
-		s.startAcct(r)
+	for _, n := range s.nodes {
+		s.startAcct(n)
 	}
 	if s.tier != nil {
-		s.engine.Every(s.opts.BeatInterval, s.beat)
+		s.engine.Every(s.opts.LeaseInterval/beatsPerLease, s.beat)
 	}
 	if len(s.opts.Admissions) > 0 {
-		s.es = &elasticState{cfg: admitctl.Config{Headroom: s.opts.AdmitHeadroom}, sim: s}
+		s.es = &elasticState{sim: s}
 		for _, ev := range s.opts.Admissions {
 			ev := ev
 			s.engine.At(s.start.Add(ev.At), func() { s.es.apply(ev) })
@@ -437,11 +426,12 @@ func (s *sim) enqueueHop(arg any) {
 		// Unclassifiable: the RDN has no queue for it.
 		return
 	}
+	e := s.subs[sub]
 	inWindow := s.inWindow(s.engine.Now())
 	u := s.units(req.Cost)
 	if inWindow {
-		s.tp.Offered(sub, u)
-		s.offeredReqs[sub]++
+		e.offered += u
+		e.offeredReqs++
 	}
 	if s.traced(req.ID) {
 		s.span(req, sub, 0, "classify", "")
@@ -449,7 +439,7 @@ func (s *sim) enqueueHop(arg any) {
 	fe := s.fronts[0]
 	if s.tier != nil {
 		// Ownership may have moved while the admission work was queued.
-		fe = s.owner(sub)
+		fe = s.owner(e)
 	}
 	var affinity uint64
 	if s.opts.LocalityDispatch {
@@ -473,8 +463,8 @@ func (s *sim) enqueueHop(arg any) {
 		return
 	}
 	if inWindow {
-		s.tp.Dropped(sub, u)
-		s.droppedReqs[sub]++
+		e.dropped += u
+		e.droppedReqs++
 	}
 	if s.traced(req.ID) {
 		s.span(req, sub, 0, obs.StageSettle, outcome)
@@ -484,28 +474,31 @@ func (s *sim) enqueueHop(arg any) {
 // launch sends one dispatch decision, made on arrival or by a tick, on its
 // way to its RPN: it enters the settlement book and rides a pooled flight
 // carrier through the wire-latency and service-time hops, stamped on a tier
-// with its front end's grant epoch for the delivery fence.
+// with its front end's grant epoch for the delivery fence. The node and
+// subscriber records are resolved here, once, and ride the carrier.
 func (s *sim) launch(fe *frontEnd, d core.Dispatch) {
 	req, ok := d.Req.Payload.(*workload.Request)
 	if !ok {
 		return
 	}
-	s.book.track(d.Node, req.ID, req.Subscriber, fe)
+	n, e := s.nodeByID[d.Node], s.subs[d.Req.Subscriber]
+	s.book.track(n, req.ID, e.def.ID, fe)
 	if s.traced(req.ID) {
-		s.span(req, req.Subscriber, d.Node, "dispatch", "")
+		s.span(req, e.def.ID, d.Node, "dispatch", "")
 	}
-	s.nodeDispatches[d.Node].Record(s.engine.Now().Sub(s.measureFrom), 1)
+	n.dispatches.Record(s.engine.Now().Sub(s.measureFrom), 1)
 	f := s.flightFree.get()
-	f.req, f.node, f.front = req, s.byID[d.Node], fe
+	f.req, f.sub, f.node, f.front = req, e, n, fe
 	if s.tier != nil {
-		f.grant = fe.grant[s.tier.groupOf[req.Subscriber]]
+		f.grant = fe.grant[e.def.Group]
 	}
-	s.engine.AfterArg(s.opts.DispatchLatency, s.deliverFn, f)
+	s.engine.AfterArg(dispatchLatency, s.deliverFn, f)
 }
 
 // tick is the scheduling cycle: every live front end's dispatch decisions
 // are launched, and every balance is audited against its clamp floor (tiny
-// slack for Scale rounding).
+// slack for Scale rounding). A scheduler that does not hold a subscriber —
+// removed, or another instance's partition — reports no balance to audit.
 func (s *sim) tick() {
 	for _, fe := range s.fronts {
 		if !fe.alive {
@@ -514,12 +507,12 @@ func (s *sim) tick() {
 		for _, d := range fe.sched.Tick() {
 			s.launch(fe, d)
 		}
-		for id, floor := range s.floors {
+		for id, e := range s.subs {
 			b, ok := fe.sched.Balance(id)
 			if !ok {
 				continue
 			}
-			slack := b.Sub(floor)
+			slack := b.Sub(e.floor)
 			if slack.CPUTime < -time.Microsecond || slack.DiskTime < -time.Microsecond || slack.NetBytes < -1 {
 				s.book.balanceViolations++
 			}
@@ -534,30 +527,28 @@ func (s *sim) tick() {
 // either way the charge goes back so the dispatch still settles exactly once.
 func (s *sim) deliverHop(arg any) {
 	f := arg.(*flight)
-	req, node := f.req, f.node
-	if s.book.lostOnWire(node.id, req.ID) {
+	req, n := f.req, f.node
+	if s.book.lostOnWire(n, req.ID) {
 		if s.traced(req.ID) {
-			s.span(req, req.Subscriber, node.id, obs.StageSettle, "reclaimed")
+			s.span(req, f.sub.def.ID, n.rpn.id, obs.StageSettle, "reclaimed")
 		}
 		s.flightFree.put(f)
 		return
 	}
 	if s.tier != nil {
-		if g := s.tier.groupOf[req.Subscriber]; !s.tier.table.Valid(g, f.front.id, f.grant) {
-			s.book.fenceOne(node.id, req.ID)
+		if g := f.sub.def.Group; !s.tier.table.Valid(g, f.front.id, f.grant) {
+			s.book.fenceOne(n, req.ID)
 			if s.traced(req.ID) {
-				s.span(req, req.Subscriber, node.id, obs.StageSettle, "fenced")
+				s.span(req, f.sub.def.ID, n.rpn.id, obs.StageSettle, "fenced")
 			}
-			if f.front.rec != nil {
-				f.front.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: g, From: f.front.id, Epoch: f.grant})
-			}
+			f.front.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: g, From: f.front.id, Epoch: f.grant})
 			s.flightFree.put(f)
 			return
 		}
 	}
-	f.epoch = node.Epoch()
+	f.epoch = n.rpn.Epoch()
 	var fin time.Time
-	fin, f.effective = node.process(s.engine.Now(), *req)
+	fin, f.effective = n.rpn.process(s.engine.Now(), *req)
 	s.engine.AtArg(fin, s.finishFn, f)
 }
 
@@ -565,32 +556,32 @@ func (s *sim) deliverHop(arg any) {
 // charges the node's accountant and lands in the window's measurements.
 func (s *sim) finishHop(arg any) {
 	f := arg.(*flight)
-	node, req, epoch, effective := f.node, f.req, f.epoch, f.effective
+	n, e, req, epoch, effective := f.node, f.sub, f.req, f.epoch, f.effective
 	s.flightFree.put(f)
-	if node.Epoch() != epoch {
+	if n.rpn.Epoch() != epoch {
 		// The node crashed mid-service; the crash handler already
 		// reclaimed this request's charge.
 		if s.traced(req.ID) {
-			s.span(req, req.Subscriber, node.id, obs.StageSettle, "reclaimed")
+			s.span(req, e.def.ID, n.rpn.id, obs.StageSettle, "reclaimed")
 		}
 		return
 	}
-	s.book.complete(node.id, req.ID)
+	s.book.complete(n, req.ID)
 	if s.traced(req.ID) {
-		s.span(req, req.Subscriber, node.id, obs.StageSettle, "served")
+		s.span(req, e.def.ID, n.rpn.id, obs.StageSettle, "served")
 	}
-	node.chargeCompletion(*req, effective)
+	n.rpn.chargeCompletion(*req, effective)
 	now := s.engine.Now()
 	if !s.inWindow(now) {
 		return
 	}
-	sub, u := req.Subscriber, s.units(req.Cost)
-	s.tp.Served(sub, u)
-	s.servedReqs[sub]++
-	s.series[sub].Record(now.Sub(s.measureFrom), u)
+	u := s.units(req.Cost)
+	e.served += u
+	e.servedReqs++
+	e.series.Record(now.Sub(s.measureFrom), u)
 	latency := now.Sub(s.start.Add(req.Arrival))
-	s.latencies[sub] = append(s.latencies[sub], latency.Seconds())
-	s.latHist[sub].Record(latency)
+	e.latencies = append(e.latencies, latency.Seconds())
+	e.latHist.Record(latency)
 }
 
 // startAcct begins one RPN's accounting cycle: cumulative counters flow
@@ -600,30 +591,29 @@ func (s *sim) finishHop(arg any) {
 // disables the node, and the first report after recovery re-enables it.
 // Nodes added mid-run get theirs started at admission time (first tick one
 // cycle later).
-func (s *sim) startAcct(r *RPN) {
+func (s *sim) startAcct(n *nodeEntry) {
+	id := n.rpn.id
 	s.engine.Every(s.opts.AcctCycle, func() {
 		now := s.engine.Now()
 		// Breaker time advances with the accounting cycle: slow-start ramps
 		// climb here. The weight sample lands after this cycle's miss/ack
 		// outcome is known.
-		s.book.tickAcct(r.id, now)
+		s.book.tickAcct(n, now)
 		off := now.Sub(s.start)
-		silent := s.book.crashed[r.id] || (s.inj != nil && (s.inj.DropAcct(r.id, off) || s.inj.DropFrame(r.id, off)))
+		silent := n.crashed || (s.inj != nil && (s.inj.DropAcct(id, off) || s.inj.DropFrame(id, off)))
 		if silent {
-			s.book.missAcct(r.id, now)
+			s.book.missAcct(n, now)
 		}
-		s.nodeWeights[r.id].Record(now.Sub(s.measureFrom), s.book.nodeWeight(r.id))
+		n.weights.Record(now.Sub(s.measureFrom), n.weight())
 		if silent {
 			return
 		}
-		delay := s.opts.FeedbackLatency
+		delay := feedbackLatency
 		if s.inj != nil {
-			delay += s.inj.AcctDelay(r.id, off)
+			delay += s.inj.AcctDelay(id, off)
 		}
 		a := s.acctFree.get()
-		a.node = r.id
-		a.msg = acctMsg{seq: s.book.sendSeq[r.id], epoch: r.Epoch(), cum: s.book.snapshot(r)}
-		s.book.sendSeq[r.id]++
+		*a = s.book.send(n)
 		s.engine.AfterArg(delay, s.acctFn, a)
 	})
 }
@@ -632,10 +622,10 @@ func (s *sim) startAcct(r *RPN) {
 // debits the scheduler that owns each subscriber, the node's breaker hears
 // a success, and the delta lands in the observed series.
 func (s *sim) acctHop(arg any) {
-	a := arg.(*acctFlight)
-	id, msg := a.node, a.msg
+	a := arg.(*acctMsg)
+	msg := *a
 	s.acctFree.put(a)
-	rep, ok := s.book.deliverAcct(id, msg)
+	rep, ok := s.book.deliverAcct(msg)
 	if !ok {
 		return // stale: overtaken inside a delay window
 	}
@@ -646,13 +636,13 @@ func (s *sim) acctHop(arg any) {
 		s.reportByOwner(rep)
 	}
 	now := s.engine.Now()
-	s.book.ackAcct(id, now)
+	s.book.ackAcct(msg.node, now)
 	if !s.inWindow(now) {
 		return
 	}
 	for sub, u := range rep.BySubscriber {
-		if series, ok := s.observed[sub]; ok {
-			series.Record(now.Sub(s.measureFrom), s.units(u.Usage))
+		if e := s.subs[sub]; e != nil {
+			e.observed.Record(now.Sub(s.measureFrom), s.units(u.Usage))
 		}
 	}
 }
@@ -672,12 +662,12 @@ func (s *sim) scheduleFaults() {
 		case ev.Kind == faults.NodeCrash:
 			fire = func() {
 				s.opts.Bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "crash"})
-				s.book.crash(s.byID[ev.Node])
+				s.book.crash(s.nodeByID[ev.Node])
 			}
 		case ev.Kind == faults.NodeRecover:
 			fire = func() {
 				s.opts.Bus.Publish(obs.Event{Kind: obs.KindFault, Node: int(ev.Node), Detail: "recover"})
-				s.book.recover(ev.Node)
+				s.book.recover(s.nodeByID[ev.Node])
 			}
 		case ev.Kind == faults.RDNCrash && s.tier != nil:
 			fire = func() { s.crashFront(s.fronts[ev.RDN-1]) }
@@ -691,9 +681,9 @@ func (s *sim) scheduleFaults() {
 	for _, tr := range s.inj.Transitions() {
 		tr := tr
 		s.engine.At(s.start.Add(tr), func() {
-			for _, r := range s.rpns {
-				r.SetSpeedFactor(s.inj.Speed(r.id, tr))
-				r.SetBandwidthFactor(s.inj.Bandwidth(r.id, tr))
+			for _, n := range s.nodes {
+				n.rpn.SetSpeedFactor(s.inj.Speed(n.rpn.id, tr))
+				n.rpn.SetBandwidthFactor(s.inj.Bandwidth(n.rpn.id, tr))
 			}
 		})
 	}
@@ -702,43 +692,41 @@ func (s *sim) scheduleFaults() {
 // addRPN grows the pool mid-run with a node entering at the bottom of the
 // slow-start ramp (scripted AddNode).
 func (s *sim) addRPN(ev AdmissionEvent) error {
-	if _, dup := s.byID[ev.Node]; dup {
+	if _, dup := s.nodeByID[ev.Node]; dup {
 		return fmt.Errorf("cluster: duplicate node %d", ev.Node)
 	}
 	speed := ev.NodeSpeed
 	if speed <= 0 {
 		speed = s.opts.RPNSpeed
 	}
-	r := s.newRPN(ev.Node, speed)
-	s.book.addNode(r)
-	if err := s.fronts[0].sched.AddNode(core.NodeConfig{ID: r.id, Capacity: r.Capacity()}, s.book.nodeWeight(r.id)); err != nil {
+	n := newNodeEntry(s.newRPN(ev.Node, speed), true)
+	if err := s.fronts[0].sched.AddNode(core.NodeConfig{ID: ev.Node, Capacity: n.rpn.Capacity()}, n.weight()); err != nil {
 		return err
 	}
-	s.byID[r.id] = r
-	s.rpns = append(s.rpns, r)
-	s.nodeWeights[r.id] = &metrics.Series{}
-	s.nodeDispatches[r.id] = &metrics.Series{}
-	s.startAcct(r)
+	s.join(n)
+	s.startAcct(n)
 	return nil
 }
 
-// result assembles the run's outcome.
+// result assembles the run's outcome from the records: an entry in every
+// per-node map for every node that ever joined and in every per-subscriber
+// map for every subscriber ever defined, and a row, in subscriber-ID order,
+// for each subscriber with traffic offered, served or dropped in the window.
 func (s *sim) result() *FrontierResult {
 	res := &FrontierResult{
 		Result: Result{
-			Series:            s.series,
-			Observed:          s.observed,
-			LatencyHist:       s.latHist,
+			Series:            make(map[qos.SubscriberID]*metrics.Series, len(s.subs)),
+			Observed:          make(map[qos.SubscriberID]*metrics.Series, len(s.subs)),
+			LatencyHist:       make(map[qos.SubscriberID]*telemetry.Histogram, len(s.subs)),
 			Window:            s.opts.Duration,
 			DispatchedReqs:    s.book.dispatched,
 			DeliveredReqs:     s.book.delivered,
 			ReclaimedReqs:     s.book.reclaimed,
-			InflightAtEnd:     s.book.inflightTotal(),
 			BalanceViolations: s.book.balanceViolations,
 			AdmittedReqs:      s.admitted,
 			ShedReqs:          s.shed,
-			NodeWeights:       s.nodeWeights,
-			NodeDispatches:    s.nodeDispatches,
+			NodeWeights:       make(map[core.NodeID]*metrics.Series, len(s.nodes)),
+			NodeDispatches:    make(map[core.NodeID]*metrics.Series, len(s.nodes)),
 		},
 		Takeovers:       s.takeovers,
 		RDNUtilization:  make([]float64, len(s.fronts)),
@@ -746,11 +734,6 @@ func (s *sim) result() *FrontierResult {
 		FencedReqs:      s.book.fenced,
 		HandedOffReqs:   s.handedOff,
 		LostQueuedReqs:  s.lostQueued,
-	}
-	for _, fe := range s.fronts {
-		for id := range s.defsNow {
-			res.QueuedAtEnd += fe.sched.QueueLen(id)
-		}
 	}
 	if s.es != nil {
 		res.OrphanedReqs = s.es.orphaned
@@ -763,38 +746,43 @@ func (s *sim) result() *FrontierResult {
 			res.Fault = &FaultReport{Start: fs - s.opts.Warmup, End: fe - s.opts.Warmup}
 		}
 	}
-	sec := s.opts.Duration.Seconds()
-	var servedReqs int
-	for _, row := range s.tp.Rows(s.opts.Duration) {
-		sub, ok := s.defsNow[row.ID]
-		if !ok {
-			continue
-		}
-		lats := s.latencies[row.ID]
-		res.Rows = append(res.Rows, SubscriberRow{
-			ID:          row.ID,
-			Reservation: sub.Reservation,
-			Offered:     row.OfferedRate,
-			Served:      row.ServedRate,
-			Dropped:     row.DroppedRate,
-			OfferedReqs: s.offeredReqs[row.ID],
-			ServedReqs:  s.servedReqs[row.ID],
-			DroppedReqs: s.droppedReqs[row.ID],
-			MeanLatency: time.Duration(metrics.Mean(lats) * float64(time.Second)),
-			P95Latency:  time.Duration(metrics.Percentile(lats, 95) * float64(time.Second)),
-		})
-		servedReqs += s.servedReqs[row.ID]
-	}
-	res.ServedReqPerSec = float64(servedReqs) / sec
 	var hits, misses uint64
-	for _, r := range s.rpns {
-		h, m := r.CacheStats()
+	for _, n := range s.nodes {
+		res.NodeWeights[n.rpn.id], res.NodeDispatches[n.rpn.id] = &n.weights, &n.dispatches
+		res.InflightAtEnd += len(n.inflight)
+		h, m := n.rpn.CacheStats()
 		hits += h
 		misses += m
 	}
 	if hits+misses > 0 {
 		res.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
+	sec := s.opts.Duration.Seconds()
+	var servedReqs int
+	for _, id := range sortedKeys(s.subs) {
+		e := s.subs[id]
+		res.Series[id], res.Observed[id], res.LatencyHist[id] = &e.series, &e.observed, e.latHist
+		for _, fe := range s.fronts {
+			res.QueuedAtEnd += fe.sched.QueueLen(id)
+		}
+		if e.offeredReqs+e.servedReqs+e.droppedReqs == 0 {
+			continue
+		}
+		res.Rows = append(res.Rows, SubscriberRow{
+			ID:          id,
+			Reservation: e.def.Reservation,
+			Offered:     e.offered / sec,
+			Served:      e.served / sec,
+			Dropped:     e.dropped / sec,
+			OfferedReqs: e.offeredReqs,
+			ServedReqs:  e.servedReqs,
+			DroppedReqs: e.droppedReqs,
+			MeanLatency: time.Duration(metrics.Mean(e.latencies) * float64(time.Second)),
+			P95Latency:  time.Duration(metrics.Percentile(e.latencies, 95) * float64(time.Second)),
+		})
+		servedReqs += e.servedReqs
+	}
+	res.ServedReqPerSec = float64(servedReqs) / sec
 	if s.opts.RDN != nil {
 		for i, fe := range s.fronts {
 			res.RDNUtilization[i] = min(1, (fe.cpu.busy-fe.busyAtWindowStart).Seconds()/sec)

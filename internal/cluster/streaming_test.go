@@ -7,10 +7,13 @@ import (
 )
 
 // TestTable1AllocBudget gates what one simulated Table 1 may allocate. The
-// run offers ≈40,000 requests and sends 4,000 accounting messages: an
-// allocation per arrival (a pre-scheduled event node, a materialized trace)
-// or per message (fresh report maps) breaks the budget several times over.
-// What is left is series samples, request slabs and latency samples.
+// run offers ≈40,000 requests and sends 4,000 accounting messages, so the
+// budget — the figure measured before the hops carried records, 1,640
+// allocations and 10.04 MiB — has no room for an allocation per arrival (a
+// pre-scheduled event node, a materialized trace, a map entry a hop grows)
+// or per message (fresh report maps): either fails `go test`, not only the
+// benchmark. What is left is series samples, request slabs and latency
+// samples.
 func TestTable1AllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -26,11 +29,11 @@ func TestTable1AllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("one Table 1 run: %d allocations, %.1f MiB", mallocs, float64(bytes)/(1<<20))
-	if mallocs > 4000 {
-		t.Errorf("%d allocations in one Table 1 run, budget 4000", mallocs)
+	if mallocs > 1640 {
+		t.Errorf("%d allocations in one Table 1 run, budget 1640", mallocs)
 	}
-	if bytes > 16<<20 {
-		t.Errorf("%.1f MiB allocated in one Table 1 run, budget 16 MiB", float64(bytes)/(1<<20))
+	if bytes > 10<<20+512<<10 {
+		t.Errorf("%.1f MiB allocated in one Table 1 run, budget 10.5 MiB", float64(bytes)/(1<<20))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Black-box hierarchical-scale suite: the per-cycle cost benchmark behind
-// BENCH_hier.json, the allocation regression gate for the two-level
+// make bench-hier, the allocation regression gate for the two-level
 // reservation round, the group-level visit-fairness property, and the
 // smooth-WRR table-restart regression for weight changes. It lives in
 // package core_test so it can share the benchkit.HierScale fixture with the

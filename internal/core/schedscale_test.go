@@ -1,5 +1,5 @@
 // Black-box scheduler scale suite: the per-cycle cost benchmark behind
-// BENCH_sched.json, the allocation regression gates for Tick, and the
+// make bench-sched, the allocation regression gates for Tick, and the
 // round-one fairness property under membership churn. It lives in package
 // core_test so it can share the benchkit.SchedScale fixture with the
 // gagebench CLI — both drive the identical steady-state cycle.

@@ -318,14 +318,6 @@ func directorySubs(dir *qos.Directory) []qos.Subscriber {
 	return subs
 }
 
-// annotate queues a control-plane tier event on the flight recorder, if one
-// is running.
-func (s *Server) annotate(ev flightrec.TierEvent) {
-	if s.rec != nil {
-		s.rec.Annotate(ev)
-	}
-}
-
 // adminCreateSubscriber signs a new subscriber: feasibility gate, scheduler
 // registration, directory/classifier rebuild, topology swap, quota
 // rebalance, audit annotation — one atomic operation under adminMu.
@@ -358,7 +350,7 @@ func (s *Server) adminCreateSubscriber(conn net.Conn, body []byte) {
 	}
 	s.topo.Store(cp)
 	s.admission.rebalance(subs)
-	s.annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
+	s.rec.Annotate(flightrec.TierEvent{Kind: "sub-admit", Group: string(sub.ID), To: int(sub.Reservation)})
 	s.respondAdmin(conn, 200, res)
 }
 
@@ -409,7 +401,7 @@ func (s *Server) adminResizeSubscriber(conn net.Conn, id qos.SubscriberID, body 
 	}
 	s.topo.Store(cp)
 	s.admission.rebalance(subs)
-	s.annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(id), From: int(old), To: int(newRes)})
+	s.rec.Annotate(flightrec.TierEvent{Kind: "sub-resize", Group: string(id), From: int(old), To: int(newRes)})
 	s.respondAdmin(conn, 200, res)
 }
 
@@ -457,7 +449,7 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 	}
 	s.topo.Store(cp)
 	s.admission.rebalance(subs)
-	s.annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(id), From: int(old)})
+	s.rec.Annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(id), From: int(old)})
 	s.respondAdmin(conn, 200, res)
 }
 
@@ -497,7 +489,7 @@ func (s *Server) adminAddNode(conn net.Conn, id core.NodeID, body []byte) {
 	// Growing the pool cannot break a guarantee; the zero-delta evaluation
 	// records the post-add committed/capacity state for the operator's log.
 	res.Decision = admitctl.Evaluate(s.admitCfg(), s.sched.TotalReservation(), 0, s.sched.EnabledCapacity())
-	s.annotate(flightrec.TierEvent{Kind: "node-add", To: int(id)})
+	s.rec.Annotate(flightrec.TierEvent{Kind: "node-add", To: int(id)})
 	s.respondAdmin(conn, 200, res)
 }
 
@@ -547,7 +539,7 @@ func (s *Server) adminDrainNode(conn net.Conn, id core.NodeID, body []byte) {
 	// flight close their own when they finish (see park).
 	s.reapIdle(n, time.Now())
 	res.OutstandingGeneric = outst.GenericUnits()
-	s.annotate(flightrec.TierEvent{Kind: "node-drain", To: int(id)})
+	s.rec.Annotate(flightrec.TierEvent{Kind: "node-drain", To: int(id)})
 	s.respondAdmin(conn, 200, res)
 }
 

@@ -1257,7 +1257,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		// Reclaim the charge and refuse.
 		s.sched.ReleaseDispatch(pc.sub, node, pc.id)
 		s.fenced.Add(1)
-		s.annotate(flightrec.TierEvent{Kind: "fence", Group: pc.ent.group})
+		s.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: pc.ent.group})
 		tr.Settle(telemetry.OutcomeFenced)
 		s.respondError(pc.conn, 503)
 		return true

@@ -91,7 +91,7 @@ func (s *Server) handoffMigrating() {
 			})
 			s.migMu.Unlock()
 			s.handedOff.Add(1)
-			s.annotate(flightrec.TierEvent{Kind: "handback", Group: g})
+			s.rec.Annotate(flightrec.TierEvent{Kind: "handback", Group: g})
 			// Wake the serving goroutine; the zero node is never read — the
 			// pcHandedOff state routes it to the handoff reply.
 			pc.node <- 0

@@ -123,7 +123,7 @@ func TestRecorderOffNoAllocs(t *testing.T) {
 
 // BenchmarkObsTickRecorderAndBus measures the full observability tax on the
 // scheduler hot path: flight recorder on, with the unified event bus
-// mirroring every committed cycle. Pinned in BENCH_obs.json; must stay
+// mirroring every committed cycle. Gated by make bench-obs; must stay
 // 0 allocs/op, and its per-op cost within ~10% of
 // BenchmarkFlightrecTickRecorderOn (the bus's marginal publish cost).
 func BenchmarkObsTickRecorderAndBus(b *testing.B) {

@@ -207,8 +207,12 @@ func (r *Recorder) SetBus(b *obs.Bus) {
 
 // Annotate queues a tier event for the next committed record. It is safe to
 // call at any time, including while a Begin/Commit window is open elsewhere;
-// the event rides on the next cycle to start.
+// the event rides on the next cycle to start. A nil recorder records nothing,
+// so callers annotate without asking whether one is attached.
 func (r *Recorder) Annotate(ev TierEvent) {
+	if r == nil {
+		return
+	}
 	r.pendMu.Lock()
 	r.pend = append(r.pend, ev)
 	r.pendMu.Unlock()

@@ -56,6 +56,11 @@ func TestRecorderStampsRDNAndDrainsAnnotations(t *testing.T) {
 // stream: each RDN's records advance its own timeline, subscribers live on
 // exactly one RDN, and tier events from both streams land in the report in
 // ingest order.
+// TestNilRecorderAnnotate: callers annotate without a recorder attached.
+func TestNilRecorderAnnotate(t *testing.T) {
+	(*Recorder)(nil).Annotate(TierEvent{Kind: "fence"})
+}
+
 func TestAuditorMergedMultiRDNLog(t *testing.T) {
 	a := NewAuditor(nil, AuditorConfig{Window: 100 * time.Millisecond})
 	step := 10 * time.Millisecond

@@ -1,5 +1,5 @@
 // Black-box tier-scale suite: the per-cycle cost benchmark behind
-// BENCH_frontier.json and its allocation gate. It lives in package
+// make bench-frontier and its allocation gate. It lives in package
 // frontier_test so it can share the benchkit.FrontierScale fixture with the
 // gagebench CLI — both drive the identical steady-state tier cycle.
 package frontier_test

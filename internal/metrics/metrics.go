@@ -1,6 +1,6 @@
-// Package metrics collects throughput and stability measurements for Gage
-// experiments: per-subscriber served/dropped counters and the
-// deviation-from-reservation statistic that the paper plots in Figure 3.
+// Package metrics collects stability measurements for Gage experiments:
+// per-subscriber completion series and the deviation-from-reservation
+// statistic that the paper plots in Figure 3.
 package metrics
 
 import (
@@ -48,45 +48,6 @@ func (s *Series) Len() int {
 	return len(s.samples)
 }
 
-// Total returns the sum of all recorded units.
-func (s *Series) Total() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalLocked()
-}
-
-func (s *Series) totalLocked() float64 {
-	var sum float64
-	for _, x := range s.samples {
-		sum += x.Units
-	}
-	return sum
-}
-
-// Rate returns the average delivery rate in units/sec over the window.
-func (s *Series) Rate(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalLocked() / window.Seconds()
-}
-
-// DropBefore discards samples with offsets earlier than t — how a live
-// auditor bounds a sliding-window series.
-func (s *Series) DropBefore(t time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.samples[:0]
-	for _, x := range s.samples {
-		if x.T >= t {
-			kept = append(kept, x)
-		}
-	}
-	s.samples = kept
-}
-
 // sorted returns samples ordered by offset. Callers hold s.mu.
 func (s *Series) sorted() []Sample {
 	if sort.SliceIsSorted(s.samples, func(i, j int) bool { return s.samples[i].T < s.samples[j].T }) {
@@ -98,28 +59,17 @@ func (s *Series) sorted() []Sample {
 	return cp
 }
 
-// IntervalRates bins the window [0, window) into consecutive intervals of the
-// given length and returns the delivery rate (units/sec) in each complete
-// interval. A trailing partial interval is discarded.
-func (s *Series) IntervalRates(window, interval time.Duration) []float64 {
-	return s.IntervalRatesBetween(0, window, interval)
-}
-
 // IntervalRatesBetween bins the sub-window [from, to) into consecutive
 // intervals of the given length and returns the delivery rate (units/sec)
 // in each complete interval; a trailing partial interval is discarded. It
 // backs the fault-phase deviation split (pre-fault / during-fault /
 // post-recovery windows of one run).
 func (s *Series) IntervalRatesBetween(from, to, interval time.Duration) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.intervalRatesBetweenLocked(from, to, interval)
-}
-
-func (s *Series) intervalRatesBetweenLocked(from, to, interval time.Duration) []float64 {
 	if interval <= 0 || to-from < interval {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := int((to - from) / interval)
 	rates := make([]float64, n)
 	for _, x := range s.sorted() {
@@ -150,9 +100,7 @@ func (s *Series) DeviationBetween(res qos.GRPS, from, to, interval time.Duration
 	if res <= 0 {
 		return 0, fmt.Errorf("metrics: reservation must be positive, got %v", res)
 	}
-	s.mu.Lock()
-	rates := s.intervalRatesBetweenLocked(from, to, interval)
-	s.mu.Unlock()
+	rates := s.IntervalRatesBetween(from, to, interval)
 	if len(rates) == 0 {
 		return 0, fmt.Errorf("metrics: window [%v, %v) too short for interval %v", from, to, interval)
 	}
@@ -161,68 +109,6 @@ func (s *Series) DeviationBetween(res qos.GRPS, from, to, interval time.Duration
 		sum += math.Abs(r-float64(res)) / float64(res)
 	}
 	return sum / float64(len(rates)), nil
-}
-
-// Throughput tracks per-subscriber offered/served/dropped totals, in
-// generic-request units, over one experiment run.
-type Throughput struct {
-	offered map[qos.SubscriberID]float64
-	served  map[qos.SubscriberID]float64
-	dropped map[qos.SubscriberID]float64
-}
-
-// NewThroughput returns an empty accumulator.
-func NewThroughput() *Throughput {
-	return &Throughput{
-		offered: make(map[qos.SubscriberID]float64),
-		served:  make(map[qos.SubscriberID]float64),
-		dropped: make(map[qos.SubscriberID]float64),
-	}
-}
-
-// Offered records units of offered load for a subscriber.
-func (t *Throughput) Offered(id qos.SubscriberID, units float64) { t.offered[id] += units }
-
-// Served records units of completed service for a subscriber.
-func (t *Throughput) Served(id qos.SubscriberID, units float64) { t.served[id] += units }
-
-// Dropped records units of dropped load for a subscriber.
-func (t *Throughput) Dropped(id qos.SubscriberID, units float64) { t.dropped[id] += units }
-
-// Row summarizes one subscriber's totals converted to rates.
-type Row struct {
-	ID          qos.SubscriberID
-	OfferedRate float64 // units/sec
-	ServedRate  float64 // units/sec
-	DroppedRate float64 // units/sec
-}
-
-// Rows returns per-subscriber rates over the given run duration, ordered by
-// subscriber ID for stable output.
-func (t *Throughput) Rows(run time.Duration) []Row {
-	ids := make([]qos.SubscriberID, 0, len(t.offered))
-	seen := make(map[qos.SubscriberID]bool, len(t.offered))
-	for _, m := range []map[qos.SubscriberID]float64{t.offered, t.served, t.dropped} {
-		for id := range m {
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sec := run.Seconds()
-	rows := make([]Row, 0, len(ids))
-	for _, id := range ids {
-		r := Row{ID: id}
-		if sec > 0 {
-			r.OfferedRate = t.offered[id] / sec
-			r.ServedRate = t.served[id] / sec
-			r.DroppedRate = t.dropped[id] / sec
-		}
-		rows = append(rows, r)
-	}
-	return rows
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -235,20 +121,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear

@@ -13,31 +13,13 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSeriesTotalAndRate(t *testing.T) {
-	var s Series
-	s.Record(100*time.Millisecond, 1)
-	s.Record(200*time.Millisecond, 2.5)
-	if got := s.Total(); !almostEqual(got, 3.5, 1e-12) {
-		t.Errorf("Total = %v, want 3.5", got)
-	}
-	if got := s.Rate(time.Second); !almostEqual(got, 3.5, 1e-12) {
-		t.Errorf("Rate = %v, want 3.5", got)
-	}
-	if got := s.Rate(0); got != 0 {
-		t.Errorf("Rate(0) = %v, want 0", got)
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
-	}
-}
-
 func TestIntervalRatesBinning(t *testing.T) {
 	var s Series
 	// 3 units in [0,1s), 1 unit in [1s,2s), nothing in [2s,3s).
 	s.Record(0, 1)
 	s.Record(500*time.Millisecond, 2)
 	s.Record(1500*time.Millisecond, 1)
-	rates := s.IntervalRates(3*time.Second, time.Second)
+	rates := s.IntervalRatesBetween(0, 3*time.Second, time.Second)
 	want := []float64{3, 1, 0}
 	if len(rates) != len(want) {
 		t.Fatalf("len(rates) = %d, want %d", len(rates), len(want))
@@ -53,7 +35,7 @@ func TestIntervalRatesDiscardsPartialAndOutOfRange(t *testing.T) {
 	var s Series
 	s.Record(2500*time.Millisecond, 100) // in the trailing partial interval
 	s.Record(-time.Second, 5)            // before the window
-	rates := s.IntervalRates(2500*time.Millisecond, time.Second)
+	rates := s.IntervalRatesBetween(0, 2500*time.Millisecond, time.Second)
 	if len(rates) != 2 {
 		t.Fatalf("len(rates) = %d, want 2", len(rates))
 	}
@@ -67,10 +49,10 @@ func TestIntervalRatesDiscardsPartialAndOutOfRange(t *testing.T) {
 func TestIntervalRatesDegenerate(t *testing.T) {
 	var s Series
 	s.Record(0, 1)
-	if got := s.IntervalRates(time.Second, 0); got != nil {
+	if got := s.IntervalRatesBetween(0, time.Second, 0); got != nil {
 		t.Errorf("zero interval: got %v, want nil", got)
 	}
-	if got := s.IntervalRates(time.Millisecond, time.Second); got != nil {
+	if got := s.IntervalRatesBetween(0, time.Millisecond, time.Second); got != nil {
 		t.Errorf("window < interval: got %v, want nil", got)
 	}
 }
@@ -79,7 +61,7 @@ func TestIntervalRatesUnsortedInput(t *testing.T) {
 	var s Series
 	s.Record(1500*time.Millisecond, 1)
 	s.Record(100*time.Millisecond, 2)
-	rates := s.IntervalRates(2*time.Second, time.Second)
+	rates := s.IntervalRatesBetween(0, 2*time.Second, time.Second)
 	if !almostEqual(rates[0], 2, 1e-12) || !almostEqual(rates[1], 1, 1e-12) {
 		t.Errorf("rates = %v, want [2 1]", rates)
 	}
@@ -153,46 +135,13 @@ func TestDeviationMonotoneUnderAggregationProperty(t *testing.T) {
 	}
 }
 
-func TestThroughputRows(t *testing.T) {
-	tp := NewThroughput()
-	tp.Offered("b", 100)
-	tp.Served("b", 80)
-	tp.Dropped("b", 20)
-	tp.Offered("a", 50)
-	tp.Served("a", 50)
-	rows := tp.Rows(10 * time.Second)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	if rows[0].ID != "a" || rows[1].ID != "b" {
-		t.Errorf("row order = %v,%v; want a,b", rows[0].ID, rows[1].ID)
-	}
-	if !almostEqual(rows[1].OfferedRate, 10, 1e-12) ||
-		!almostEqual(rows[1].ServedRate, 8, 1e-12) ||
-		!almostEqual(rows[1].DroppedRate, 2, 1e-12) {
-		t.Errorf("row b = %+v, want 10/8/2", rows[1])
-	}
-}
-
-func TestThroughputRowsZeroDuration(t *testing.T) {
-	tp := NewThroughput()
-	tp.Served("a", 5)
-	rows := tp.Rows(0)
-	if len(rows) != 1 || rows[0].ServedRate != 0 {
-		t.Errorf("rows with zero duration = %+v, want zero rates", rows)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty-slice Mean/StdDev must be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty-slice Mean must be 0")
 	}
 }
 
@@ -229,7 +178,7 @@ func TestSamplesSortedCopy(t *testing.T) {
 	s.Record(2*time.Second, 1)
 	s.Record(time.Second, 2)
 	got := s.Samples()
-	if len(got) != 2 || got[0].T != time.Second || got[1].T != 2*time.Second {
+	if s.Len() != 2 || len(got) != 2 || got[0].T != time.Second || got[1].T != 2*time.Second {
 		t.Fatalf("Samples() = %v, want sorted by offset", got)
 	}
 	// Mutating the copy must not corrupt the series.
@@ -259,10 +208,9 @@ func TestMonotoneNonDecreasing(t *testing.T) {
 	}
 }
 
-// TestSeriesConcurrency races recording against every query path and the
-// sliding-window trim — the shape the conformance auditor shares with scrape
-// handlers. Its value is under -race: any unsynchronized access fails the
-// race build.
+// TestSeriesConcurrency races recording against every query path — the shape
+// the conformance auditor shares with scrape handlers. Its value is under
+// -race: any unsynchronized access fails the race build.
 func TestSeriesConcurrency(t *testing.T) {
 	var s Series
 	done := make(chan struct{})
@@ -282,30 +230,11 @@ func TestSeriesConcurrency(t *testing.T) {
 		}()
 	}
 	spin(func(i int) { s.Record(time.Duration(i)*time.Millisecond, 1) })
-	spin(func(i int) { s.Total(); s.Len(); s.Rate(time.Second) })
+	spin(func(i int) { s.Len() })
 	spin(func(i int) { s.IntervalRatesBetween(0, time.Duration(i)*time.Millisecond, 100*time.Millisecond) })
 	spin(func(i int) { s.DeviationFromReservation(100, time.Duration(i)*time.Millisecond, 100*time.Millisecond) })
 	spin(func(i int) { s.Samples() })
-	spin(func(i int) { s.DropBefore(time.Duration(i/2) * time.Millisecond) })
 	time.Sleep(100 * time.Millisecond)
 	close(done)
 	wg.Wait()
-}
-
-func TestSeriesDropBefore(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Record(time.Duration(i)*time.Second, float64(i))
-	}
-	s.DropBefore(5 * time.Second)
-	if got := s.Len(); got != 5 {
-		t.Fatalf("Len after DropBefore = %d, want 5", got)
-	}
-	if got := s.Total(); !almostEqual(got, 5+6+7+8+9, 1e-12) {
-		t.Errorf("Total after DropBefore = %v, want 35", got)
-	}
-	s.DropBefore(100 * time.Second)
-	if got := s.Len(); got != 0 {
-		t.Errorf("Len after dropping everything = %d, want 0", got)
-	}
 }

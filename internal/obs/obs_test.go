@@ -254,7 +254,7 @@ func TestBusPublishAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkObsPublish pins the publish hot path for BENCH_obs.json: one
+// BenchmarkObsPublish pins the publish hot path for make bench-obs: one
 // ring publish, no spill — must report 0 allocs/op.
 func BenchmarkObsPublish(b *testing.B) {
 	bus := NewBus(BusConfig{RingSize: 4096, Now: func() time.Duration { return 0 }})
