@@ -1,5 +1,5 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint loc bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint loc profile-relay bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
 verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
 
@@ -32,11 +32,13 @@ race:
 # and the live dispatcher's scripted-outage, health-flap, overload-shedding
 # and drain drills, the backend connection pool's and keep-alive loop's
 # failure drills (stale, crashed, drained, breaker-opened and shut-down
-# connections), and the relay's streaming drills (a backend or a client
-# breaking off mid-body, mis-framed and oversized heads), run twice to shake
-# out order dependence between runs.
+# connections), the relay's streaming drills (a backend or a client breaking
+# off mid-body, mis-framed and oversized heads), and the dispatch handshake's
+# (a tick, an admin delete and Close's hand-off each racing the handler that
+# gives the request up, on records that are reused), run twice to shake out
+# order dependence between runs.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission|TestPool|TestKeepAlive|TestRelay' \
+	go test -race -count=2 -run 'TestChaos|TestDiffReports|TestMaxConns|TestAdmission|TestPool|TestKeepAlive|TestRelay|TestAbandon|TestStale|TestTimedOut|TestAdminDelete|TestCloseHand' \
 		./internal/cluster/ ./internal/core/ ./internal/dispatch/ ./internal/faults/ ./internal/backend/
 	go test -race -count=2 ./internal/breaker/
 
@@ -157,6 +159,24 @@ audit-smoke:
 	go run ./cmd/gagetrace replay -rpns 2 -grps 60 \
 		-cycles "$$tmp/cycles.jsonl" "$$tmp/trace.jsonl" && \
 	go run ./cmd/gagetrace audit -warmup 1s "$$tmp/cycles.jsonl"
+
+# The live path's allocation ledger: the two relay benchmarks (the benchmark's
+# saturation testbed in one process, keep-alive and one connection per
+# request) run with every allocation profiled, and each function's allocated
+# objects printed per request — flat, cumulative, name — so nobody has to
+# patch a copy of bench/main.go to get one. The client's own allocations are
+# in it (net.Dial…, the test's ReadHead); ns/op under -memprofilerate=1 means
+# nothing.
+PROFILE_REQUESTS ?= 20000
+profile-relay:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for b in KeepAlive ConnPerRequest; do \
+		go test -run '^$$' -bench "^BenchmarkRelay$$b$$" -benchtime=$(PROFILE_REQUESTS)x -memprofilerate=1 \
+			-memprofile "$$tmp/$$b.mem" -o "$$tmp/dispatch.test" ./internal/dispatch/ | grep '^Benchmark' && \
+		go tool pprof -sample_index=alloc_objects -top -nodecount=40 "$$tmp/dispatch.test" "$$tmp/$$b.mem" 2>/dev/null | \
+			awk -v n=$(PROFILE_REQUESTS) 'seen && $$4/n >= 0.05 { printf "%8.2f %8.2f  %s\n", $$1/n, $$4/n, $$6 } \
+				/flat%/ { seen = 1; print "    flat      cum  allocations per request" }' || exit 1; \
+	done
 
 # Static hygiene gate: gofmt drift (`vet` is its own target).
 lint:

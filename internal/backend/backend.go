@@ -214,15 +214,9 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, p *page) bool {
 	}
 	size := pageSize(req.Path())
 	cost := s.cfg.Costs.Cost(int64(size))
-	p.buf = strconv.AppendInt(p.buf[:0], cost.CPUTime.Nanoseconds(), 10)
-	p.buf = append(p.buf, ',')
-	p.buf = strconv.AppendInt(p.buf, cost.DiskTime.Nanoseconds(), 10)
-	p.buf = append(p.buf, ',')
-	p.buf = strconv.AppendInt(p.buf, cost.NetBytes, 10)
 	h := p.resp.Header
 	clear(h)
 	h["Content-Type"] = "text/html"
-	h[UsageHeader] = string(p.buf)
 	// Echo the trace ID so the front end (and any log scraper watching the
 	// backend side) can attribute the exchange to its end-to-end trace.
 	if tid := req.Header[obs.TraceHeader]; tid != "" {
@@ -234,10 +228,17 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, p *page) bool {
 	if keep {
 		h["Connection"] = "keep-alive"
 	}
-	// The synthetic page is rendered behind the head, straight into the
-	// bytes that go on the wire.
+	// The usage line is composed behind the head's other lines — as a header
+	// value it would cost a string — and the synthetic page is rendered behind
+	// the head, straight into the bytes that go on the wire.
 	p.buf = p.resp.AppendHead(p.buf[:0], int64(size))
-	p.buf = append(p.buf, "\r\n"...)
+	p.buf = append(p.buf, UsageHeader+": "...)
+	p.buf = strconv.AppendInt(p.buf, cost.CPUTime.Nanoseconds(), 10)
+	p.buf = append(p.buf, ',')
+	p.buf = strconv.AppendInt(p.buf, cost.DiskTime.Nanoseconds(), 10)
+	p.buf = append(p.buf, ',')
+	p.buf = strconv.AppendInt(p.buf, cost.NetBytes, 10)
+	p.buf = append(p.buf, "\r\n\r\n"...)
 	p.buf = append(p.buf, make([]byte, size)...) // grows in place: no temporary
 	body := p.buf[len(p.buf)-size:]
 	for i := range body {

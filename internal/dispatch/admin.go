@@ -425,16 +425,7 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 		s.respondAdmin(conn, 404, res)
 		return
 	}
-	// Wake every connection still waiting on a withdrawn request. The CAS
-	// makes us the single sender on the buffered channel; serveOne sees
-	// pcAbandoned and refuses without relaying.
-	for _, o := range orphans {
-		if pc, ok := o.Payload.(*pendingConn); ok {
-			if pc.state.CompareAndSwap(pcWaiting, pcAbandoned) {
-				pc.node <- 0
-			}
-		}
-	}
+	s.refuseOrphans(orphans)
 	t := s.top()
 	subs := slices.DeleteFunc(directorySubs(t.dir), func(sub qos.Subscriber) bool { return sub.ID == id })
 	// Shrinking the directory cannot fail (same entries minus one); if it
@@ -451,6 +442,18 @@ func (s *Server) adminDeleteSubscriber(conn net.Conn, id qos.SubscriberID) {
 	s.admission.rebalance(subs)
 	s.rec.Annotate(flightrec.TierEvent{Kind: "sub-remove", Group: string(id), From: int(old)})
 	s.respondAdmin(conn, 200, res)
+}
+
+// refuseOrphans wakes every handler still waiting on a request that
+// RemoveSubscriber withdrew (see the dispatch handshake): it finds pcAbandoned
+// and refuses without relaying. A request its handler gave up meanwhile is
+// left alone, whatever its record is serving by now.
+func (s *Server) refuseOrphans(orphans []core.Request) {
+	for _, o := range orphans {
+		if pc, ok := o.Payload.(*pendingConn); ok && pc.claim(o.ID, pcAbandoned) {
+			pc.node <- 0
+		}
+	}
 }
 
 // adminAddNode grows the backend pool. The node joins at the bottom of a

@@ -412,35 +412,55 @@ type nodeAcct struct {
 	spareReport  map[qos.SubscriberID]core.SubscriberUsage
 }
 
-// pendingConn lifecycle states: the dispatch/abandon handshake. Exactly one
-// side wins the CAS from pcWaiting, so a dispatch decision is either
-// delivered to the serving goroutine or its charge is reclaimed — never
-// both, never neither.
+// The dispatch handshake. A request the scheduler holds in a queue is both a
+// queue entry, which a tick, an admin delete or Close's migration sweep may
+// take out of the scheduler, and a handler goroutine waiting for the verdict.
+// The request's record (pendingConn) settles between them with one word and
+// one channel, under one rule:
+//
+//	whoever moves a record out of pcWaiting on its handler's behalf sends
+//	exactly one value on node, and the handler receives exactly one value
+//	before it refills or releases the record.
+//
+// So node is empty whenever a record is waiting or idle, a decision is either
+// delivered to the handler or its charge reclaimed — never both, never neither
+// — and a handler that gives up (abandon) either wins the word itself, and
+// then nothing will be sent, or takes the one value it is owed. The three
+// withdrawers are deliver (a tick's decision: pcDispatched, sends the node),
+// refuseOrphans (an admin delete: pcAbandoned, sends a sentinel) and handOff
+// (Close's migration sweep: pcHandedOff, sends a sentinel).
+//
+// A record is refilled for each request its connection carries, so the word
+// holds the request id beside the state (id<<2 | state) and every party claims
+// from (its own request's id, pcWaiting): a withdrawer still holding request A
+// after its handler gave A up cannot claim the record once it has moved on to
+// request B, and until its claim succeeds it reads nothing else of the record.
 const (
-	pcWaiting    int32 = iota // queued or in flight, serving goroutine waiting
-	pcDispatched              // dispatched: on arrival, or claimed by the tick loop and the node sent on the channel
-	pcAbandoned               // withdrawn by the serving goroutine; never relay
-	pcHandedOff               // withdrawn at Close for a migrating partition; redispatchable elsewhere
+	pcWaiting    uint64 = iota // submitted; the handler waits, or is about to, on node
+	pcDispatched               // decided: on arrival by the handler itself, else by deliver
+	pcAbandoned                // given up by the handler, or withdrawn by an admin delete; never relayed
+	pcHandedOff                // withdrawn at Close for a migrating group; redispatchable elsewhere
 )
 
-// pendingConn is the scheduler payload for a waiting client connection.
+// pendingConn is a connection's request record, part of its wire: the payload
+// the scheduler carries for the request the connection is serving, and what
+// relay reads. The handler fills everything but w and node anew for each
+// request, then arms the record; nobody else writes a field.
 type pendingConn struct {
+	// w is the wire the record is part of: w.conn is the client and w.req the
+	// request to relay. The handler owns both; the migration sweep reads w.req
+	// between its claim and its send, when the handler can only be waiting.
+	w *wire
+	// node carries the one value the handshake rule speaks of: the chosen node
+	// from deliver, a sentinel nobody reads from the other two withdrawers.
+	node chan core.NodeID
+	// state is the handshake word, id<<2 | pc… state.
+	state atomic.Uint64
 	// id is the scheduler request ID, the key for cancel/release.
-	id   uint64
-	conn net.Conn
-	// w is the serving goroutine's wire: w.req is the request to relay.
-	// Only that goroutine may touch it; method, target and host are copies
-	// for the migration sweep, which runs on Close's.
-	w                    *wire
-	method, target, host string
-	sub                  qos.SubscriberID
+	id  uint64
+	sub qos.SubscriberID
 	// ent is the subscriber's record: its group is the fencing unit.
 	ent *subEntry
-	// node receives the tick loop's dispatch decision for a request that had
-	// to wait (buffered; sent only after a successful CAS to pcDispatched).
-	node chan core.NodeID
-	// state is the pcWaiting/pcDispatched/pcAbandoned handshake word.
-	state atomic.Int32
 	// start is when the request was classified; end-to-end latency for the
 	// per-subscriber histogram measures from here to the response write.
 	start time.Time
@@ -452,6 +472,19 @@ type pendingConn struct {
 	// request carries one even when its lifecycle trace is unsampled.
 	tid obs.TraceID
 }
+
+// arm puts the filled record into pcWaiting — before Submit: once the
+// scheduler holds the request a withdrawer may claim it.
+func (pc *pendingConn) arm() { pc.state.Store(pc.id<<2 | pcWaiting) }
+
+// claim moves the record from (id, pcWaiting) to (id, to). It fails when the
+// request has left pcWaiting and when the record has moved on to another.
+func (pc *pendingConn) claim(id, to uint64) bool {
+	return pc.state.CompareAndSwap(id<<2|pcWaiting, id<<2|to)
+}
+
+// status is the state the record's current request is in.
+func (pc *pendingConn) status() uint64 { return pc.state.Load() & 3 }
 
 // New builds a dispatcher.
 func New(cfg Config) (*Server, error) {
@@ -627,7 +660,11 @@ func (s *Server) accept(ln net.Listener, admin bool) error {
 		}
 		s.connWG.Add(1)
 		if s.trackConn(conn, admin) {
-			go s.handle(conn, admin)
+			// A go of a stored func() allocates no closure, as one of a method
+			// call with arguments would for every connection.
+			w := getWire(conn)
+			w.srv, w.conn, w.admin = s, conn, admin
+			go w.run()
 			continue
 		}
 		// Past MaxConns: shed fast. The 503 is written off the accept path
@@ -817,11 +854,13 @@ func (s *Server) deliver(d core.Dispatch) {
 	if !ok {
 		return
 	}
-	if pc.state.CompareAndSwap(pcWaiting, pcDispatched) {
+	if pc.claim(d.Req.ID, pcDispatched) {
 		s.atTick.Add(1)
 		pc.node <- d.Node
 	} else {
-		s.sched.ReleaseDispatch(pc.sub, d.Node, d.Req.ID)
+		// The record may be serving another request by now: the decision says
+		// whose charge this is, the record no longer does.
+		s.sched.ReleaseDispatch(d.Req.Subscriber, d.Node, d.Req.ID)
 	}
 }
 
@@ -959,36 +998,67 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// wire is what a connection handler owns for as long as it serves its
-// connection: the buffered reader, the messages it parses from it, and the
-// scratch every write on the request path is composed in. A client handler
-// uses br, req and buf; the backend leg of a relay uses br and resp. Wires
-// are pooled, so a one-request connection inherits its predecessor's reader,
-// header maps and scratch, and a parse costs it the head string alone.
+// wire is everything a connection owns for as long as it is served, made once
+// and pooled: the buffered reader, the messages parsed from it, the scratch
+// every write on the request path is composed in, the request record with the
+// channel its verdict arrives on, and the handler func accept starts. A client
+// connection uses all of it — its requests are served one at a time, so one
+// record does for them all; the backend leg of a relay and the accounting
+// poll use br and resp alone. A one-request connection inherits all this from
+// its predecessor and costs the dispatcher its parse's head string alone.
 type wire struct {
 	br   *bufio.Reader
 	req  httpwire.Request
 	resp httpwire.Response
 	buf  []byte
+
+	// srv, conn and admin (the control-plane listener's connection) are the
+	// handler's arguments, set by accept. run is w.handle, bound once.
+	srv   *Server
+	conn  net.Conn
+	admin bool
+	run   func()
+	// pc is the request record (see the dispatch handshake).
+	pc pendingConn
 }
 
 // maxScratch is the largest write scratch a pooled wire keeps; a relayed
 // request body can grow one far past what the next owner will need.
 const maxScratch = 16 << 10
 
-var wirePool = sync.Pool{New: func() any { return &wire{br: bufio.NewReaderSize(nil, 4096)} }}
+// wirePool has no New: newWire binds handle, which releases to this pool.
+var wirePool sync.Pool
+
+func newWire() *wire {
+	w := &wire{br: bufio.NewReaderSize(nil, 4096)}
+	w.run = w.handle
+	w.pc.w = w
+	w.pc.node = make(chan core.NodeID, 1)
+	return w
+}
 
 func getWire(r io.Reader) *wire {
-	w := wirePool.Get().(*wire)
+	w, _ := wirePool.Get().(*wire)
+	if w == nil {
+		w = newWire()
+	}
 	w.br.Reset(r)
 	return w
 }
 
-// putWire releases w. Its messages are the next owner's to overwrite, so
-// nothing may still be reading them; they are emptied here so that an idle
-// wire keeps the header maps but not the heads their strings were cut from.
+// putWireCheck, set by this package's tests, sees every wire as it is released.
+var putWireCheck func(*wire)
+
+// putWire releases w. What it holds is the next owner's to overwrite, so
+// nothing may still be reading it. An idle wire keeps what is worth inheriting
+// — buffers, header maps, the record's channel and its handshake word, whose
+// stale request id is what keeps a late withdrawer out — and no reference to
+// what it served: connection, server, heads, subscriber record or trace.
 func putWire(w *wire) {
-	w.br.Reset(nil) // drop the connection reference
+	if putWireCheck != nil {
+		putWireCheck(w)
+	}
+	w.br.Reset(nil)
 	clear(w.req.Header)
 	clear(w.resp.Header)
 	w.req = httpwire.Request{Header: w.req.Header}
@@ -996,6 +1066,8 @@ func putWire(w *wire) {
 	if cap(w.buf) > maxScratch {
 		w.buf = nil
 	}
+	w.srv, w.conn, w.admin = nil, nil, false
+	w.pc.sub, w.pc.ent, w.pc.trace = "", nil, nil
 	wirePool.Put(w)
 }
 
@@ -1009,21 +1081,22 @@ var readRoutes = map[string]func(*Server, net.Conn){
 	EventsPath:  (*Server).serveEvents,
 }
 
-// handle serves one connection, of the client listener or of the
-// control-plane one (admin). HTTP/1.1 connections are persistent (P-HTTP):
-// each request on a client connection is classified, queued and scheduled
-// independently — consecutive requests may be relayed to different back ends,
-// just as the paper's splicing handles one request per spliced connection.
+// handle serves the wire's connection, of the client listener or of the
+// control-plane one (w.admin), and releases the wire. HTTP/1.1 connections are
+// persistent (P-HTTP): each request on a client connection is classified,
+// queued and scheduled independently — consecutive requests may be relayed to
+// different back ends, just as the paper's splicing handles one request per
+// spliced connection.
 // The mutation surface under AdminPrefix answers only on the control-plane
 // listener (gaged's adminListen knob): a client that can reach the data-plane
 // port must never be able to sign, resize, or retire subscribers. That
 // listener in turn relays nothing, so client traffic cannot be proxied
 // through it.
-func (s *Server) handle(conn net.Conn, admin bool) {
+func (w *wire) handle() {
+	s, conn, admin := w.srv, w.conn, w.admin
 	defer s.connWG.Done()
 	defer s.untrackConn(conn)
 	defer conn.Close()
-	w := getWire(conn)
 	defer putWire(w)
 	for {
 		// A draining server reads no further requests, even on persistent
@@ -1066,7 +1139,7 @@ func (s *Server) handle(conn net.Conn, admin bool) {
 		case admin || adminPath:
 			s.respondError(conn, 404)
 		default:
-			usable = s.serveOne(conn, w)
+			usable = s.serveOne(w)
 		}
 		if !usable || !keep {
 			return
@@ -1077,8 +1150,8 @@ func (s *Server) handle(conn net.Conn, admin bool) {
 // serveOne classifies, schedules and relays the client request parsed into
 // w.req; it reports whether the connection is still usable for another
 // request.
-func (s *Server) serveOne(conn net.Conn, w *wire) bool {
-	req := &w.req
+func (s *Server) serveOne(w *wire) bool {
+	conn, req := w.conn, &w.req
 	// The request ID doubles as the trace-sampling key, so it is drawn
 	// before classification: every client request — even one that never
 	// reaches the scheduler — is a sampling candidate.
@@ -1126,22 +1199,11 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		return false
 	}
 	defer s.admission.release(sub)
-	pc := &pendingConn{
-		id:     id,
-		conn:   conn,
-		w:      w,
-		method: req.Method,
-		target: req.Target,
-		host:   req.Host,
-		sub:    sub,
-		ent:    ent,
-		node:   make(chan core.NodeID, 1),
-		start:  start,
-		trace:  tr,
-		tid:    tid,
-	}
+	pc := &w.pc
+	pc.id, pc.sub, pc.ent, pc.start, pc.trace, pc.tid = id, sub, ent, start, tr, tid
+	pc.arm()
 	d, now, err := s.sched.Submit(core.Request{
-		ID:         pc.id,
+		ID:         id,
 		Subscriber: sub,
 		Payload:    pc,
 	})
@@ -1157,7 +1219,7 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 		// decision is already made and charged, and it was never in a queue,
 		// so no tick, admin delete or hand-off sweep holds it — the state
 		// word is ours to set and there is nothing to wait for.
-		pc.state.Store(pcDispatched)
+		pc.state.Store(id<<2 | pcDispatched)
 		s.atArrival.Add(1)
 		tr.Add(telemetry.StageDispatch, int64(d.Node), "")
 		return s.relay(pc, d.Node)
@@ -1166,15 +1228,16 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 	defer putTimer(timer)
 	select {
 	case node := <-pc.node:
-		if pc.state.Load() == pcAbandoned {
+		// The one value this request is owed: the record is ours again.
+		switch pc.status() {
+		case pcAbandoned:
 			// An admin delete removed this request's subscriber while it was
 			// queued; its scheduler state is already gone. Refuse, never relay.
 			tr.Settle(telemetry.OutcomeRejected)
 			s.rejected.Add(1)
 			s.respondError(conn, 503)
 			return true
-		}
-		if pc.state.Load() == pcHandedOff {
+		case pcHandedOff:
 			// Close withdrew this request because its group migrated; the
 			// new owner redispatches it (see Handoffs). The client retries
 			// there — this is not a shed.
@@ -1201,40 +1264,25 @@ func (s *Server) serveOne(conn net.Conn, w *wire) bool {
 	}
 }
 
-// abandon withdraws a request that will never be relayed. Wherever the
-// request currently is — still queued, mid-dispatch in the tick loop, or
-// already charged to a node — its scheduler charge is reclaimed, and the
-// dispatch decision (if any) is consumed so relay can never run against a
-// connection that has moved on to its next request.
+// abandon gives up a submitted request that will never be relayed, and
+// returns with the record the handler's again. If the handler wins the word,
+// a request still in its FIFO is removed here and one the scheduler has popped
+// meets deliver's failed claim, which releases the charge instead. If a
+// withdrawer won, the handler takes the one value it is owed: a tick's
+// decision is undone by releasing its charge, so relay can never run against
+// a connection that has moved on; after an admin delete or the migration
+// sweep there is no charge, and it is not an abandonment.
 func (s *Server) abandon(pc *pendingConn) {
-	if !pc.state.CompareAndSwap(pcWaiting, pcAbandoned) {
-		switch pc.state.Load() {
-		case pcHandedOff:
-			// The migration sweep won: the request was withdrawn from the
-			// scheduler and recorded for the partition's new owner. There is
-			// no charge left to reclaim and it is not an abandonment — the
-			// new owner redispatches it.
-			return
-		case pcAbandoned:
-			// An admin delete of the subscriber won: it already reclaimed the
-			// scheduler state and sent the wake-up sentinel on pc.node. There
-			// was no dispatch, so there is no charge to release — consuming
-			// the sentinel and calling ReleaseDispatch here would invent one.
-			return
-		}
-		// The tick loop won the race: the node is already (or imminently)
-		// in the channel. Take it and release the charge.
+	if pc.claim(pc.id, pcAbandoned) {
 		s.abandoned.Add(1)
-		node := <-pc.node
-		s.sched.ReleaseDispatch(pc.sub, node, pc.id)
+		s.sched.CancelQueued(pc.sub, pc.id)
 		return
 	}
-	// We won the CAS, so the dispatch decision can no longer reach us. If
-	// the request still sits in its FIFO, remove it here; if the scheduler
-	// popped it but the tick loop has not reached its CAS yet, that failed
-	// CAS releases the charge instead.
-	s.abandoned.Add(1)
-	s.sched.CancelQueued(pc.sub, pc.id)
+	node := <-pc.node
+	if pc.status() == pcDispatched {
+		s.abandoned.Add(1)
+		s.sched.ReleaseDispatch(pc.sub, node, pc.id)
+	}
 }
 
 // relay forwards the request to the chosen backend and the backend's reply
@@ -1249,7 +1297,7 @@ func (s *Server) abandon(pc *pendingConn) {
 // nothing, so every failure up to there is a clean 502; from there forward
 // takes over. It reports whether the client connection remains usable.
 func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
-	tr := pc.trace
+	tr, conn := pc.trace, pc.w.conn
 	if s.cfg.Fence != nil && !s.cfg.Fence(pc.ent.group) {
 		// Deposed between dispatch and relay: the group's lease epoch moved
 		// on, so this decision must not reach a backend — the new owner is
@@ -1259,7 +1307,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 		s.fenced.Add(1)
 		s.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: pc.ent.group})
 		tr.Settle(telemetry.OutcomeFenced)
-		s.respondError(pc.conn, 503)
+		s.respondError(conn, 503)
 		return true
 	}
 	tr.Add(telemetry.StageRelay, int64(node), "")
@@ -1274,7 +1322,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 			// No alternate has room; the charge is already released.
 			tr.Settle(telemetry.OutcomeError)
 			s.errs.Add(1)
-			s.respondError(pc.conn, 502)
+			s.respondError(conn, 502)
 			return true
 		}
 		s.retried.Add(1)
@@ -1294,7 +1342,7 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 			// Shutdown abort: reclaim the alternate's charge and give up.
 			s.sched.ReleaseDispatch(pc.sub, alt, pc.id)
 			tr.Settle(telemetry.OutcomeDrainAbort)
-			s.respondError(pc.conn, 503)
+			s.respondError(conn, 503)
 			return false
 		}
 		// The relay latency histogram measures the exchange against the
@@ -1308,14 +1356,14 @@ func (s *Server) relay(pc *pendingConn, node core.NodeID) bool {
 			s.sched.ReleaseDispatch(pc.sub, alt, pc.id)
 			tr.Settle(telemetry.OutcomeError)
 			s.errs.Add(1)
-			s.respondError(pc.conn, 502)
+			s.respondError(conn, 502)
 			return true
 		}
 	}
 	if err != nil {
 		tr.Settle(telemetry.OutcomeError)
 		s.errs.Add(1)
-		s.respondError(pc.conn, 502)
+		s.respondError(conn, 502)
 		return true
 	}
 	outcome := s.forward(pc, n, rep)

@@ -639,18 +639,8 @@ func TestAbandonedRequestReleasesCharge(t *testing.T) {
 // dispatch/abandon race deterministically against the handshake primitives.
 func TestAbandonDispatchHandshake(t *testing.T) {
 	newSrv := func() (*Server, *pendingConn) {
-		srv, err := New(Config{
-			Subscribers: defaultSubs(),
-			Backends:    []Backend{{ID: 1, Addr: "127.0.0.1:1"}},
-			Logger:      log.New(io.Discard, "", 0),
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		pc := &pendingConn{id: 1, sub: "site1", node: make(chan core.NodeID, 1)}
-		if err := srv.sched.Enqueue(core.Request{ID: 1, Subscriber: "site1", Payload: pc}); err != nil {
-			t.Fatalf("Enqueue: %v", err)
-		}
+		srv, pc := handshakeServer(t), &newWire().pc
+		enqueue(t, srv, pc, 1, "a1")
 		return srv, pc
 	}
 
@@ -943,5 +933,16 @@ func TestConcurrentAcctPollsSurviveDeadBackend(t *testing.T) {
 	}
 	if srv.Scheduler().NodeEnabled(3) {
 		t.Error("hung node 3 must be disabled")
+	}
+}
+
+// enqueue refills a record for request id of sub, as serveOne does, and puts
+// it in the subscriber's queue.
+func enqueue(t *testing.T, srv *Server, pc *pendingConn, id uint64, sub qos.SubscriberID) {
+	t.Helper()
+	pc.id, pc.sub = id, sub
+	pc.arm()
+	if err := srv.sched.Enqueue(core.Request{ID: id, Subscriber: sub, Payload: pc}); err != nil {
+		t.Fatalf("Enqueue: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"sort"
 
+	"gage/internal/core"
 	"gage/internal/flightrec"
 	"gage/internal/qos"
 )
@@ -13,7 +14,7 @@ import (
 // being deposed — the requests still queued for that group must not be
 // dispatched here (the fence would refuse each one after charging it) and
 // must not be counted as shed (they are not lost): they are withdrawn
-// through the same pendingConn CAS the abandon path uses and handed back as
+// through the same dispatch handshake the abandon path uses and handed back as
 // a redispatchable backlog the partition's new owner replays.
 
 // Handoff is one withdrawn request: enough to redispatch it on the
@@ -53,11 +54,7 @@ func (s *Server) Handoffs() []Handoff {
 // handoffMigrating withdraws every still-queued request of the migrating
 // groups. It runs once, at the start of Close, while the scheduling loop is
 // still live: RemoveGroup pulls the group's queues out of the scheduler
-// atomically, so the tick loop can no longer dispatch what it returns, and
-// the pendingConn CAS settles each request's race against its own serving
-// goroutine — a request the tick loop already claimed relays (and meets the
-// fence); one the client already abandoned stays abandoned; everything else
-// becomes a Handoff.
+// atomically, so the tick loop can no longer dispatch what it returns.
 func (s *Server) handoffMigrating() {
 	s.migMu.Lock()
 	groups := make([]string, 0, len(s.migrating))
@@ -72,29 +69,35 @@ func (s *Server) handoffMigrating() {
 			s.logger.Printf("dispatch: handoff group %q: %v", g, err)
 			continue
 		}
-		for _, r := range orphans {
-			pc, ok := r.Payload.(*pendingConn)
-			if !ok {
-				continue
-			}
-			if !pc.state.CompareAndSwap(pcWaiting, pcHandedOff) {
-				continue
-			}
-			s.migMu.Lock()
-			s.handoffs = append(s.handoffs, Handoff{
-				ID:         pc.id,
-				Subscriber: pc.sub,
-				Group:      g,
-				Method:     pc.method,
-				Target:     pc.target,
-				Host:       pc.host,
-			})
-			s.migMu.Unlock()
-			s.handedOff.Add(1)
-			s.rec.Annotate(flightrec.TierEvent{Kind: "handback", Group: g})
-			// Wake the serving goroutine; the zero node is never read — the
-			// pcHandedOff state routes it to the handoff reply.
-			pc.node <- 0
+		s.handOff(g, orphans)
+	}
+}
+
+// handOff turns the requests RemoveGroup withdrew from group g into Handoffs.
+// The record's claim (see the dispatch handshake) settles each one's race
+// against its own handler: a request the client already abandoned stays
+// abandoned, whatever its record is serving by now; the rest are Handoffs.
+func (s *Server) handOff(g string, orphans []core.Request) {
+	for _, r := range orphans {
+		pc, ok := r.Payload.(*pendingConn)
+		if !ok || !pc.claim(r.ID, pcHandedOff) {
+			continue
 		}
+		// Until the send below the handler can only wait, so its parsed
+		// request is safe to read; the strings cut from it are immutable.
+		req := &pc.w.req
+		s.migMu.Lock()
+		s.handoffs = append(s.handoffs, Handoff{
+			ID:         r.ID,
+			Subscriber: r.Subscriber,
+			Group:      g,
+			Method:     req.Method,
+			Target:     req.Target,
+			Host:       req.Host,
+		})
+		s.migMu.Unlock()
+		s.handedOff.Add(1)
+		s.rec.Annotate(flightrec.TierEvent{Kind: "handback", Group: g})
+		pc.node <- 0 // never read: pcHandedOff routes the handler
 	}
 }

@@ -245,7 +245,7 @@ func (s *Server) forward(pc *pendingConn, n *nodeEntry, rep reply) telemetry.Out
 		s.settle(n, rep, true, true)
 	}
 	outcome := telemetry.OutcomeServed
-	if _, err := pc.conn.Write(w.buf); err != nil {
+	if _, err := w.conn.Write(w.buf); err != nil {
 		outcome = telemetry.OutcomeClientGone
 	}
 	// held emptied the reader, so the remainder comes straight off rep.c.
@@ -257,7 +257,7 @@ func (s *Server) forward(pc *pendingConn, n *nodeEntry, rep reply) telemetry.Out
 		n, err := rep.c.Read(chunk[:min(left, int64(len(chunk)))])
 		left -= int64(n)
 		if n > 0 {
-			if _, werr := pc.conn.Write(chunk[:n]); werr != nil {
+			if _, werr := w.conn.Write(chunk[:n]); werr != nil {
 				outcome = telemetry.OutcomeClientGone
 				break
 			}

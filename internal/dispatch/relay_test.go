@@ -450,16 +450,51 @@ func TestRelayPipelinedAndSplitHeads(t *testing.T) {
 	}
 }
 
-// TestRelayAllocBudget is the allocation gate `make verify` runs: keep-alive
-// requests through an in-process dispatcher and backend, counted over the
-// whole process — this client, the dispatcher's two parses and its queue
-// entry, the backend's parse, render and accounting. The store-and-forward
-// relay spent about 40 allocations on each; the budget leaves the parse-once
-// relay (about 7) room for a collection emptying the pools mid-run.
-func TestRelayAllocBudget(t *testing.T) {
+// allocsPerRequest runs exchange 20 times to warm the pools and the backend
+// connection, then 200 times counting every allocation in the process.
+func allocsPerRequest(t *testing.T, exchange func()) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	for i := 0; i < 20; i++ {
+		exchange()
+	}
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.Mallocs-before.Mallocs) / requests
+	t.Logf("%.1f allocations and %.0f bytes per request", perReq, float64(after.TotalAlloc-before.TotalAlloc)/requests)
+	return perReq
+}
+
+// allocGateRequest is what both allocation gates send, and readPage how they
+// read the answer without allocating more than its head.
+var allocGateRequest = []byte("GET /static/512.html HTTP/1.1\r\nHost: www.site1.example\r\n\r\n")
+
+func readPage(t *testing.T, br *bufio.Reader, resp *httpwire.Response) {
+	t.Helper()
+	n, err := resp.ReadHead(br)
+	if err != nil || resp.StatusCode != 200 || n != 512 {
+		t.Fatalf("response %+v, n %d, %v", resp, n, err)
+	}
+	if _, err := br.Discard(int(n)); err != nil {
+		t.Fatalf("body: %v", err)
+	}
+}
+
+// TestRelayAllocBudget is the allocation gate `make verify` runs on the relay
+// path: keep-alive requests through an in-process dispatcher and backend,
+// counted over the whole process. What is left is four head strings — this
+// client's parse of the response, the dispatcher's of the request and of the
+// backend's response, the backend's of the request; the request record, its
+// channel and the backend's usage line are the connection's. The budget
+// leaves room for a collection emptying the pools mid-run.
+func TestRelayAllocBudget(t *testing.T) {
 	addr, srv := startServer(t, Config{
 		Subscribers: defaultSubs(),
 		Backends:    []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
@@ -473,36 +508,49 @@ func TestRelayAllocBudget(t *testing.T) {
 	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
 	br := bufio.NewReader(c)
-	request := []byte("GET /static/512.html HTTP/1.1\r\nHost: www.site1.example\r\n\r\n")
 	var resp httpwire.Response
-	exchange := func() {
-		if _, err := c.Write(request); err != nil {
+	perReq := allocsPerRequest(t, func() {
+		if _, err := c.Write(allocGateRequest); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		n, err := resp.ReadHead(br)
-		if err != nil || resp.StatusCode != 200 || n != 512 {
-			t.Fatalf("response %+v, n %d, %v", resp, n, err)
-		}
-		if _, err := br.Discard(int(n)); err != nil {
-			t.Fatalf("body: %v", err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		exchange() // warm the pools and the backend connection
-	}
-	const requests = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
-		exchange()
-	}
-	runtime.ReadMemStats(&after)
-	perReq := float64(after.Mallocs-before.Mallocs) / requests
-	t.Logf("%.1f allocations and %.0f bytes per relayed request", perReq, float64(after.TotalAlloc-before.TotalAlloc)/requests)
-	if perReq > 20 {
-		t.Errorf("%.1f allocations per relayed keep-alive request, budget 20", perReq)
+		readPage(t, br, &resp)
+	})
+	if perReq > 6 {
+		t.Errorf("%.1f allocations per relayed keep-alive request, budget 6", perReq)
 	}
 	if dials, _ := poolCounts(srv); dials != 1 {
 		t.Errorf("%d backend dials, want the one connection reused throughout", dials)
+	}
+}
+
+// TestConnPerRequestAllocBudget is the same gate on the accept path: one
+// client connection per request through the same stack. Of the 24 or so
+// counted, this client's dial and close are about half and net.Accept's six
+// most of the rest; the dispatcher's own share is still the relay path's heads
+// — the handler goroutine starts from a func the pooled wire already holds.
+func TestConnPerRequestAllocBudget(t *testing.T) {
+	addr, _ := startServer(t, Config{
+		Subscribers: defaultSubs(),
+		Backends:    []Backend{{ID: 1, Addr: liveBackend(t, 1)}},
+		Scheduler:   core.Config{Cycle: time.Millisecond},
+		AcctCycle:   noPolls,
+	})
+	br := bufio.NewReader(nil)
+	var resp httpwire.Response
+	perReq := allocsPerRequest(t, func() {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		_ = c.SetDeadline(time.Now().Add(30 * time.Second))
+		if _, err := c.Write(allocGateRequest); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		br.Reset(c)
+		readPage(t, br, &resp)
+	})
+	if perReq > 27 {
+		t.Errorf("%.1f allocations per one-connection request, budget 27", perReq)
 	}
 }
