@@ -1,5 +1,5 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint loc profile-relay bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint loc profile-relay profile-sim bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
 verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
 
@@ -177,6 +177,27 @@ profile-relay:
 			awk -v n=$(PROFILE_REQUESTS) 'seen && $$4/n >= 0.05 { printf "%8.2f %8.2f  %s\n", $$1/n, $$4/n, $$6 } \
 				/flat%/ { seen = 1; print "    flat      cum  allocations per request" }' || exit 1; \
 	done
+
+# The simulator's counterpart: BenchmarkTable1 with every allocation profiled
+# and the CPU sampled, each function's allocated bytes and objects printed per
+# delivered request — flat, cumulative, name — then the CPU top 15. The
+# divisor is the run's own "delivered" metric times the iterations run, one
+# more than -benchtime asks for (the testing package's b.N=1 probe is in the
+# profile too). The CPU shares are of a run slowed by -memprofilerate=1: read
+# them against each other, not as times.
+PROFILE_RUNS ?= 20
+profile-sim:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go test -run '^$$' -bench '^BenchmarkTable1$$' -benchtime=$(PROFILE_RUNS)x -memprofilerate=1 \
+		-memprofile "$$tmp/mem" -cpuprofile "$$tmp/cpu" -o "$$tmp/gage.test" . > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+	grep '^Benchmark' "$$tmp/out" && \
+	reqs=$$(awk -v runs=$(PROFILE_RUNS) '/^Benchmark/ { for (i = 2; i < NF; i++) if ($$(i+1) == "delivered") print $$i * (runs + 1) }' "$$tmp/out") && \
+	for idx in alloc_space alloc_objects; do \
+		go tool pprof -sample_index=$$idx -unit=b -top -nodecount=25 "$$tmp/gage.test" "$$tmp/mem" 2>/dev/null | \
+			awk -v n="$$reqs" -v idx=$$idx 'seen && $$4/n >= 0.0005 { flat = $$1; cum = $$4; sub(/^.*% +/, ""); printf "%10.4f %10.4f  %s\n", flat/n, cum/n, $$0 } \
+				/flat%/ { seen = 1; print "      flat        cum  " idx " per delivered request" }' || exit 1; \
+	done; \
+	go tool pprof -top -nodecount=15 "$$tmp/gage.test" "$$tmp/cpu" 2>/dev/null | sed -n '/flat%/,$$p'
 
 # Static hygiene gate: gofmt drift (`vet` is its own target).
 lint:

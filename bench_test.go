@@ -17,7 +17,8 @@ import (
 )
 
 // BenchmarkTable1 regenerates Table 1: QoS guarantee under excessive input
-// loads. Metrics: served GRPS per site and site3's drop rate.
+// loads. Metrics: served GRPS per site, site3's drop rate, and the simulated
+// requests delivered — the per-request divisor `make profile-sim` reads.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Table1()
@@ -31,6 +32,7 @@ func BenchmarkTable1(b *testing.B) {
 		b.ReportMetric(s2.Served, "site2-grps")
 		b.ReportMetric(s3.Served, "site3-grps")
 		b.ReportMetric(s3.Dropped, "site3-dropped")
+		b.ReportMetric(float64(res.DeliveredReqs), "delivered")
 	}
 }
 

@@ -59,9 +59,11 @@ func table1Options() Options {
 // Table2 reproduces §4.1's spare-resource-allocation experiment: two sites,
 // both overloaded, reservations 250/200; the spare splits in proportion to
 // the reservations, and site1's share is capped by its own demand.
-func Table2() (*Result, error) {
+func Table2() (*Result, error) { return Run(table2Options()) }
+
+func table2Options() Options {
 	generic := qos.GenericCost()
-	return Run(Options{
+	return Options{
 		Subscribers: []qos.Subscriber{
 			{ID: "site1", Hosts: []string{"www.site1.example"}, Reservation: 250, QueueLimit: 128},
 			{ID: "site2", Hosts: []string{"www.site2.example"}, Reservation: 200, QueueLimit: 128},
@@ -74,7 +76,7 @@ func Table2() (*Result, error) {
 		RPNSpeed: 0.9558, // ≈765 GRPS aggregate, the paper's served total
 		Warmup:   10 * time.Second,
 		Duration: 40 * time.Second,
-	})
+	}
 }
 
 // Figure3Point is one data point of Figure 3: the mean observed deviation

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"gage/internal/classify"
@@ -59,7 +60,7 @@ type subEntry struct {
 	offered, served, dropped             float64
 	offeredReqs, servedReqs, droppedReqs int
 	series, observed                     metrics.Series
-	latencies                            []float64
+	latencies                            metrics.Chunks[float64]
 	latHist                              *telemetry.Histogram
 }
 
@@ -89,7 +90,7 @@ type flight struct {
 	effective qos.Vector
 }
 
-// freeList recycles a hop's carriers within a run.
+// freeList recycles a hop's carriers within a run (requests: Stream.Release).
 type freeList[T any] []*T
 
 func (l *freeList[T]) get() *T {
@@ -134,6 +135,8 @@ type sim struct {
 	inj    *faults.Injector
 	// es is the scripted admission plane; nil without a schedule.
 	es *elasticState
+	// stream yields the arrivals and takes their records back; nil on a replay.
+	stream *workload.Stream
 
 	classifier classify.Classifier
 	// dyn resolves subscribers admitted at runtime.
@@ -307,7 +310,8 @@ func (s *sim) wireObservers() {
 func (s *sim) arrivalFeed() func() (time.Time, any, bool) {
 	var pull func() (*workload.Request, bool)
 	if len(s.opts.ReplayTrace) == 0 {
-		pull = workload.NewStream(s.opts.Sources, s.opts.Warmup+s.opts.Duration, 1).Next
+		s.stream = workload.NewStream(s.opts.Sources, s.opts.Warmup+s.opts.Duration, 1)
+		pull = s.stream.Next
 	} else {
 		trace := workload.Merge(s.opts.ReplayTrace)
 		pull = func() (*workload.Request, bool) {
@@ -424,6 +428,7 @@ func (s *sim) enqueueHop(arg any) {
 	sub, ok := s.classifier.Classify(req.Host, req.Path)
 	if !ok {
 		// Unclassifiable: the RDN has no queue for it.
+		s.release(req)
 		return
 	}
 	e := s.subs[sub]
@@ -469,6 +474,24 @@ func (s *sim) enqueueHop(arg any) {
 	if s.traced(req.ID) {
 		s.span(req, sub, 0, obs.StageSettle, outcome)
 	}
+	s.release(req)
+}
+
+// release gives a request's record back to its stream. A request has one
+// holder at a time — admission hop, queue, flight — and at most one flight (a
+// reclaimed or fenced dispatch is settled, never requeued), so it ends where
+// its flight does or where it is turned away unqueued (DESIGN §3).
+func (s *sim) release(req *workload.Request) {
+	if s.stream != nil {
+		s.stream.Release(req)
+	}
+}
+
+// land ends a flight, and with it the request it carried.
+func (s *sim) land(f *flight) {
+	req := f.req
+	s.flightFree.put(f)
+	s.release(req)
 }
 
 // launch sends one dispatch decision, made on arrival or by a tick, on its
@@ -532,7 +555,7 @@ func (s *sim) deliverHop(arg any) {
 		if s.traced(req.ID) {
 			s.span(req, f.sub.def.ID, n.rpn.id, obs.StageSettle, "reclaimed")
 		}
-		s.flightFree.put(f)
+		s.land(f)
 		return
 	}
 	if s.tier != nil {
@@ -542,7 +565,7 @@ func (s *sim) deliverHop(arg any) {
 				s.span(req, f.sub.def.ID, n.rpn.id, obs.StageSettle, "fenced")
 			}
 			f.front.rec.Annotate(flightrec.TierEvent{Kind: "fence", Group: g, From: f.front.id, Epoch: f.grant})
-			s.flightFree.put(f)
+			s.land(f)
 			return
 		}
 	}
@@ -556,9 +579,9 @@ func (s *sim) deliverHop(arg any) {
 // charges the node's accountant and lands in the window's measurements.
 func (s *sim) finishHop(arg any) {
 	f := arg.(*flight)
-	n, e, req, epoch, effective := f.node, f.sub, f.req, f.epoch, f.effective
-	s.flightFree.put(f)
-	if n.rpn.Epoch() != epoch {
+	defer s.land(f)
+	n, e, req := f.node, f.sub, f.req
+	if n.rpn.Epoch() != f.epoch {
 		// The node crashed mid-service; the crash handler already
 		// reclaimed this request's charge.
 		if s.traced(req.ID) {
@@ -570,7 +593,7 @@ func (s *sim) finishHop(arg any) {
 	if s.traced(req.ID) {
 		s.span(req, e.def.ID, n.rpn.id, obs.StageSettle, "served")
 	}
-	n.rpn.chargeCompletion(*req, effective)
+	n.rpn.chargeCompletion(*req, f.effective)
 	now := s.engine.Now()
 	if !s.inWindow(now) {
 		return
@@ -580,7 +603,7 @@ func (s *sim) finishHop(arg any) {
 	e.servedReqs++
 	e.series.Record(now.Sub(s.measureFrom), u)
 	latency := now.Sub(s.start.Add(req.Arrival))
-	e.latencies = append(e.latencies, latency.Seconds())
+	e.latencies.Add(latency.Seconds())
 	e.latHist.Record(latency)
 }
 
@@ -768,6 +791,10 @@ func (s *sim) result() *FrontierResult {
 		if e.offeredReqs+e.servedReqs+e.droppedReqs == 0 {
 			continue
 		}
+		// One copy: averaged in recording order, then sorted in place.
+		latencies := e.latencies.Slice()
+		mean := metrics.Mean(latencies)
+		sort.Float64s(latencies)
 		res.Rows = append(res.Rows, SubscriberRow{
 			ID:          id,
 			Reservation: e.def.Reservation,
@@ -777,8 +804,8 @@ func (s *sim) result() *FrontierResult {
 			OfferedReqs: e.offeredReqs,
 			ServedReqs:  e.servedReqs,
 			DroppedReqs: e.droppedReqs,
-			MeanLatency: time.Duration(metrics.Mean(e.latencies) * float64(time.Second)),
-			P95Latency:  time.Duration(metrics.Percentile(e.latencies, 95) * float64(time.Second)),
+			MeanLatency: time.Duration(mean * float64(time.Second)),
+			P95Latency:  time.Duration(metrics.PercentileSorted(latencies, 95) * float64(time.Second)),
 		})
 		servedReqs += e.servedReqs
 	}

@@ -22,40 +22,77 @@ type Sample struct {
 	Units float64
 }
 
+// Chunks is an append-only list that never re-copies what it holds, where a
+// slice grown by append allocates ≈4.3 bytes per byte it ends up holding.
+// Only the first chunk grows as a slice does, to chunkMin elements, so a
+// short list costs what a slice would; then each full chunk is sealed and the
+// next is as large as all held so far, up to chunkMax. The zero value is ready.
+type Chunks[T any] struct {
+	sealed [][]T
+	tail   []T
+	n      int
+}
+
+const chunkMin, chunkMax = 16, 1024
+
+// Add appends x.
+func (c *Chunks[T]) Add(x T) {
+	if len(c.tail) == cap(c.tail) && c.n >= chunkMin {
+		c.sealed = append(c.sealed, c.tail)
+		c.tail = make([]T, 0, min(c.n, chunkMax))
+	}
+	c.tail = append(c.tail, x)
+	c.n++
+}
+
+// Slice returns the elements in the order added, in a slice the caller owns.
+func (c *Chunks[T]) Slice() []T {
+	out := make([]T, 0, c.n)
+	for _, chunk := range c.sealed {
+		out = append(out, chunk...)
+	}
+	return append(out, c.tail...)
+}
+
 // Series accumulates completion samples for a single subscriber.
 // The zero value is ready to use.
+//
+// Every sample is kept, 16 bytes each plus the last chunk's unfilled part.
+// Offsets should be non-decreasing; Record notes the first that is not, and
+// from then on every query sorts a copy.
 //
 // Series is safe for concurrent use: a recorder goroutine may Record while
 // another computes rates or deviations — the shape the conformance auditor
 // shares with scrape handlers. A Series must not be copied after first use.
 type Series struct {
-	mu      sync.Mutex
-	samples []Sample
+	mu        sync.Mutex
+	samples   Chunks[Sample]
+	unordered bool // an offset has gone backwards
 }
 
-// Record appends a sample. Offsets should be non-decreasing, but Series
-// tolerates out-of-order recording (it sorts lazily when queried).
+// Record appends a sample.
 func (s *Series) Record(t time.Duration, units float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.samples = append(s.samples, Sample{T: t, Units: units})
+	if tail := s.samples.tail; len(tail) > 0 && t < tail[len(tail)-1].T {
+		s.unordered = true
+	}
+	s.samples.Add(Sample{T: t, Units: units})
 }
 
 // Len returns the number of recorded samples.
 func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.samples)
+	return s.samples.n
 }
 
-// sorted returns samples ordered by offset. Callers hold s.mu.
-func (s *Series) sorted() []Sample {
-	if sort.SliceIsSorted(s.samples, func(i, j int) bool { return s.samples[i].T < s.samples[j].T }) {
-		return s.samples
+// sortedCopy returns the samples by offset in a new slice. Callers hold s.mu.
+func (s *Series) sortedCopy() []Sample {
+	cp := s.samples.Slice()
+	if s.unordered {
+		sort.Slice(cp, func(i, j int) bool { return cp[i].T < cp[j].T })
 	}
-	cp := make([]Sample, len(s.samples))
-	copy(cp, s.samples)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].T < cp[j].T })
 	return cp
 }
 
@@ -72,12 +109,22 @@ func (s *Series) IntervalRatesBetween(from, to, interval time.Duration) []float6
 	defer s.mu.Unlock()
 	n := int((to - from) / interval)
 	rates := make([]float64, n)
-	for _, x := range s.sorted() {
-		t := x.T - from
-		if t < 0 || t >= time.Duration(n)*interval {
-			continue
+	bin := func(samples []Sample) {
+		for _, x := range samples {
+			t := x.T - from
+			if t < 0 || t >= time.Duration(n)*interval {
+				continue
+			}
+			rates[int(t/interval)] += x.Units
 		}
-		rates[int(t/interval)] += x.Units
+	}
+	if s.unordered {
+		bin(s.sortedCopy())
+	} else {
+		for _, chunk := range s.samples.sealed {
+			bin(chunk)
+		}
+		bin(s.samples.tail)
 	}
 	sec := interval.Seconds()
 	for i := range rates {
@@ -124,28 +171,33 @@ func Mean(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; it returns 0 for an empty slice.
+// interpolation; it returns 0 for an empty slice. It sorts a copy, not xs.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
 	sort.Float64s(cp)
+	return PercentileSorted(cp, p)
+}
+
+// PercentileSorted is Percentile for a slice already in ascending order.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return cp[len(cp)-1]
+		return sorted[len(sorted)-1]
 	}
-	pos := p / 100 * float64(len(cp)-1)
+	pos := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Samples returns a copy of the recorded samples ordered by offset, for
@@ -153,9 +205,7 @@ func Percentile(xs []float64, p float64) float64 {
 func (s *Series) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.sorted())
-	return out
+	return s.sortedCopy()
 }
 
 // MonotoneNonDecreasing reports whether xs never drops by more than tol

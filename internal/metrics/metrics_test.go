@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -237,4 +239,207 @@ func TestSeriesConcurrency(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(done)
 	wg.Wait()
+}
+
+// TestChunksHoldEverythingInPlace: a Chunks yields what was added, in order,
+// at every length across several chunk boundaries, and once an element is
+// past the first chunkMin it is never moved — its address at the end is the
+// address it was written to.
+func TestChunksHoldEverythingInPlace(t *testing.T) {
+	const n = 3*chunkMax + 7
+	var c Chunks[int]
+	addrs := make([]*int, 0, n)
+	for i := 0; i < n; i++ {
+		c.Add(i * 3)
+		if c.n != i+1 {
+			t.Fatalf("n after %d adds = %d", i+1, c.n)
+		}
+		addrs = append(addrs, &c.tail[len(c.tail)-1])
+		if i < 70 || i%257 == 0 || i == n-1 {
+			got := c.Slice()
+			if len(got) != i+1 {
+				t.Fatalf("Slice after %d adds has %d elements", i+1, len(got))
+			}
+			for k, x := range got {
+				if x != k*3 {
+					t.Fatalf("after %d adds: element %d = %d, want %d", i+1, k, x, k*3)
+				}
+			}
+		}
+	}
+	i := 0
+	for _, chunk := range append(c.sealed[:len(c.sealed):len(c.sealed)], c.tail) {
+		for k := range chunk {
+			if i >= chunkMin && &chunk[k] != addrs[i] {
+				t.Fatalf("element %d was moved after it was added", i)
+			}
+			i++
+		}
+	}
+	if i != n {
+		t.Fatalf("the chunks hold %d elements, want %d", i, n)
+	}
+	if got := c.Slice(); &got[0] == &c.sealed[0][0] {
+		t.Error("Slice returned the list's own memory, want a copy")
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSeriesCostsNoMoreThanASlice: the conformance auditor builds a Series
+// per subscriber per report on the live path, a handful of samples to a few
+// hundred. At no length may that cost more bytes than the append-grown
+// []Sample the Series used to be, and a few thousand samples must cost less
+// than half.
+func TestSeriesCostsNoMoreThanASlice(t *testing.T) {
+	var keepSeries *Series
+	var keepSlice []Sample
+	// The Series value itself (mutex, list header) costs the same whatever it
+	// holds, and a slice's owner has a header somewhere too.
+	empty := allocated(func() { keepSeries = new(Series) })
+	for n := 1; n <= 4096; n++ {
+		if n > 80 && n%97 != 0 && n != 4096 {
+			continue
+		}
+		series := allocated(func() {
+			var s Series
+			for i := 0; i < n; i++ {
+				s.Record(time.Duration(i), 1)
+			}
+			keepSeries = &s
+		})
+		slice := allocated(func() {
+			var xs []Sample
+			for i := 0; i < n; i++ {
+				xs = append(xs, Sample{T: time.Duration(i), Units: 1})
+			}
+			keepSlice = xs
+		})
+		series -= empty
+		if series > slice {
+			t.Errorf("%d samples: Series allocated %d bytes, a plain slice %d", n, series, slice)
+		}
+		if n == 4096 && series*2 > slice {
+			t.Errorf("%d samples: Series allocated %d bytes, more than half a plain slice's %d", n, series, slice)
+		}
+	}
+	_, _ = keepSeries, keepSlice
+}
+
+// referenceSeries is the Series as it was: one slice, checked for order and
+// if need be copied and sorted on every query.
+type referenceSeries []Sample
+
+func (r referenceSeries) sorted() []Sample {
+	if sort.SliceIsSorted(r, func(i, j int) bool { return r[i].T < r[j].T }) {
+		return r
+	}
+	cp := append([]Sample(nil), r...)
+	sort.Slice(cp, func(i, j int) bool { return cp[i].T < cp[j].T })
+	return cp
+}
+
+func (r referenceSeries) rates(from, to, interval time.Duration) []float64 {
+	n := int((to - from) / interval)
+	rates := make([]float64, n)
+	for _, x := range r.sorted() {
+		t := x.T - from
+		if t < 0 || t >= time.Duration(n)*interval {
+			continue
+		}
+		rates[int(t/interval)] += x.Units
+	}
+	for i := range rates {
+		rates[i] /= interval.Seconds()
+	}
+	return rates
+}
+
+// TestSeriesMatchesReference holds the chunked Series against the slice it
+// replaced, bit for bit: Samples and the interval rates (whose sums depend on
+// the order samples are visited in) for series recorded in order, with ties,
+// with a negative first offset, and out of order at the start, in the middle
+// and at the very end.
+func TestSeriesMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{1, 2, 15, 16, 17, 300, 2500}[seed%7]
+		disorder := -1 // none
+		switch seed % 4 {
+		case 1:
+			disorder = rng.Intn(n)
+		case 2:
+			disorder = n - 1
+		}
+		var s Series
+		var ref referenceSeries
+		at := -time.Second
+		for i := 0; i < n; i++ {
+			at += time.Duration(rng.Intn(3)) * time.Millisecond // ties are common
+			t0 := at
+			if i == disorder {
+				t0 -= 40 * time.Millisecond
+			}
+			u := rng.Float64()
+			s.Record(t0, u)
+			ref = append(ref, Sample{T: t0, Units: u})
+		}
+		got, want := s.Samples(), ref.sorted()
+		if len(got) != len(want) || s.Len() != n {
+			t.Fatalf("seed %d: %d samples (Len %d), reference %d", seed, len(got), s.Len(), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: sample %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+		for _, interval := range []time.Duration{7 * time.Millisecond, 100 * time.Millisecond} {
+			from, to := -900*time.Millisecond, at
+			if to-from < interval {
+				continue
+			}
+			gotR, wantR := s.IntervalRatesBetween(from, to, interval), ref.rates(from, to, interval)
+			if len(gotR) != len(wantR) {
+				t.Fatalf("seed %d: %d rates, reference %d", seed, len(gotR), len(wantR))
+			}
+			for i := range wantR {
+				if gotR[i] != wantR[i] {
+					t.Fatalf("seed %d interval %v: rate %d = %v, reference %v", seed, interval, i, gotR[i], wantR[i])
+				}
+			}
+		}
+	}
+}
+
+// TestOrderedSeriesQueriesCopyNothing: a series recorded in order — every
+// one the simulator keeps — answers a rate query from its chunks as they
+// lie; the only allocation is the result.
+func TestOrderedSeriesQueriesCopyNothing(t *testing.T) {
+	var s Series
+	for i := 0; i < 5000; i++ {
+		s.Record(time.Duration(i)*time.Millisecond, 1)
+	}
+	if got := testing.AllocsPerRun(20, func() { s.IntervalRatesBetween(0, 5*time.Second, time.Second) }); got != 1 {
+		t.Errorf("IntervalRatesBetween on an ordered series: %v allocations, want 1 (the rates)", got)
+	}
+}
+
+func TestPercentileSorted(t *testing.T) {
+	xs := []float64{40, 10, 30, 20}
+	sorted := []float64{10, 20, 30, 40}
+	for _, p := range []float64{-5, 0, 33, 50, 95, 100, 150} {
+		if got, want := PercentileSorted(sorted, p), Percentile(xs, p); got != want {
+			t.Errorf("PercentileSorted(%v) = %v, Percentile %v", p, got, want)
+		}
+	}
+	if PercentileSorted(nil, 50) != 0 {
+		t.Error("empty PercentileSorted must be 0")
+	}
 }

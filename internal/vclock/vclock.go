@@ -12,10 +12,12 @@
 // feed's items in stream order, then events scheduled after it. That is the
 // order registering every item with AtArg at the point of the Feed call
 // would give, without holding the items in the heap.
+//
+// Only integers are compared: an event's key is its instant's nanosecond
+// offset from the engine's origin, which must be within ±292 years of it.
 package vclock
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 )
@@ -35,6 +37,7 @@ var ErrStopped = errors.New("vclock: engine stopped")
 // the one a stale Timer still points at.
 type event struct {
 	at    time.Time
+	key   int64  // at as an offset from the engine's origin: what the heap compares
 	seq   uint64 // FIFO tie-break for identical times
 	gen   uint32 // bumped on recycle; stale Timer.Stop becomes a no-op
 	fn    func()
@@ -60,66 +63,90 @@ func (t Timer) Stop() bool {
 	if ev == nil || ev.gen != t.gen || ev.idx < 0 {
 		return false
 	}
-	heap.Remove(&ev.eng.queue, ev.idx)
+	ev.eng.queue.remove(ev.idx)
 	ev.eng.recycle(ev)
 	return true
 }
 
+// eventHeap is a binary min-heap of pending events ordered by (key, seq),
+// each event's idx kept equal to its position so a Timer can remove it.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
+// before is the engine's one ordering rule.
+func (a *event) before(b *event) bool {
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// remove takes out the event at position i; the last event fills the hole.
+func (h *eventHeap) remove(i int) *event {
+	q := *h
+	ev, last := q[i], q[len(q)-1]
+	q[len(q)-1] = nil
+	*h = q[:len(q)-1]
 	ev.idx = -1
-	*h = old[:n-1]
+	if last != ev && !h.down(i, last) {
+		h.up(i, last)
+	}
 	return ev
+}
+
+// up places ev at free position i or above it.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 && ev.before(h[(i-1)/2]) {
+		h[i], h[(i-1)/2].idx = h[(i-1)/2], i
+		i = (i - 1) / 2
+	}
+	h[i], ev.idx = ev, i
+}
+
+// down places ev at free position i or below it, and reports if below.
+func (h eventHeap) down(i int, ev *event) bool {
+	start := i
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i], h[c].idx = h[c], i
+		i = c
+	}
+	h[i], ev.idx = ev, i
+	return i > start
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all components of one simulation share one goroutine.
 type Engine struct {
+	origin  time.Time // what keys are offsets from
 	now     time.Time
+	nowKey  int64
 	queue   eventHeap
 	free    []*event // recycled event nodes; steady state allocates none
 	nextSeq uint64
 	stopped bool
 
 	// The feed: feedNext is nil when there is none or it has run dry;
-	// otherwise feedAt/feedArg hold its head, already clamped to the clock.
+	// otherwise feed is its head (at and key clamped to the clock, seq, arg).
 	feedFn   func(any)
 	feedNext func() (time.Time, any, bool)
-	feedSeq  uint64
-	feedAt   time.Time
-	feedArg  any
+	feed     event
 }
 
 // NewEngine returns an engine whose clock starts at the given origin.
 // A zero origin is valid and convenient: times are then just offsets.
 func NewEngine(origin time.Time) *Engine {
-	return &Engine{now: origin}
+	return &Engine{origin: origin, now: origin}
+}
+
+// clamp returns t and its key, both moved up to the clock when t is past.
+func (e *Engine) clamp(t time.Time) (time.Time, int64) {
+	key := int64(t.Sub(e.origin))
+	if key < e.nowKey {
+		return e.now, e.nowKey
+	}
+	return t, key
 }
 
 var _ Clock = (*Engine)(nil)
@@ -155,9 +182,7 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 }
 
 func (e *Engine) schedule(t time.Time, fn func(), argFn func(any), arg any) Timer {
-	if t.Before(e.now) {
-		t = e.now
-	}
+	t, key := e.clamp(t)
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -166,9 +191,10 @@ func (e *Engine) schedule(t time.Time, fn func(), argFn func(any), arg any) Time
 	} else {
 		ev = &event{eng: e}
 	}
-	ev.at, ev.seq, ev.fn, ev.argFn, ev.arg = t, e.nextSeq, fn, argFn, arg
+	ev.at, ev.key, ev.seq, ev.fn, ev.argFn, ev.arg = t, key, e.nextSeq, fn, argFn, arg
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.queue = append(e.queue, ev)
+	e.queue.up(len(e.queue)-1, ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -184,7 +210,7 @@ func (e *Engine) Feed(fn func(any), next func() (time.Time, any, bool)) {
 	if e.feedNext != nil {
 		panic("vclock: engine already has a feed")
 	}
-	e.feedFn, e.feedNext, e.feedSeq = fn, next, e.nextSeq
+	e.feedFn, e.feedNext, e.feed.seq = fn, next, e.nextSeq
 	e.nextSeq++
 	e.pullFeed()
 }
@@ -194,35 +220,25 @@ func (e *Engine) Feed(fn func(any), next func() (time.Time, any, bool)) {
 func (e *Engine) pullFeed() {
 	at, arg, ok := e.feedNext()
 	if !ok {
-		e.feedFn, e.feedNext, e.feedArg = nil, nil, nil
+		e.feedFn, e.feedNext, e.feed.arg = nil, nil, nil
 		return
 	}
-	if at.Before(e.now) {
-		at = e.now
-	}
-	e.feedAt, e.feedArg = at, arg
+	e.feed.at, e.feed.key = e.clamp(at)
+	e.feed.arg = arg
 }
 
-// next reports the next event to fire: its instant and whether it is the
-// feed's head rather than the heap's top, by the (instant, sequence) rule
-// that orders the heap. ok is false when nothing is pending.
-func (e *Engine) next() (at time.Time, feed, ok bool) {
+// next reports the next event to fire: its key and whether it is the feed's
+// head rather than the heap's top, by the (key, sequence) rule that orders
+// the heap. ok is false when nothing is pending.
+func (e *Engine) next() (key int64, feed, ok bool) {
 	if len(e.queue) == 0 {
-		return e.feedAt, true, e.feedNext != nil
+		return e.feed.key, true, e.feedNext != nil
 	}
 	top := e.queue[0]
-	if e.feedNext == nil {
-		return top.at, false, true
+	if e.feedNext != nil && e.feed.before(top) {
+		return e.feed.key, true, true
 	}
-	if !e.feedAt.Equal(top.at) {
-		feed = e.feedAt.Before(top.at)
-	} else {
-		feed = e.feedSeq < top.seq
-	}
-	if feed {
-		return e.feedAt, true, true
-	}
-	return top.at, false, true
+	return top.key, false, true
 }
 
 // recycle returns a popped or cancelled event node to the free list. The
@@ -273,16 +289,16 @@ func (e *Engine) Step() bool {
 // fire runs the event next reported, advancing the clock to its time.
 func (e *Engine) fire(feed bool) {
 	if feed {
-		e.now = e.feedAt
-		fn, arg := e.feedFn, e.feedArg
+		e.now, e.nowKey = e.feed.at, e.feed.key
+		fn, arg := e.feedFn, e.feed.arg
 		// Advance before running, as the heap path recycles before running:
 		// the callback sees an engine already past this item.
 		e.pullFeed()
 		fn(arg)
 		return
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.at
+	ev := e.queue.remove(0)
+	e.now, e.nowKey = ev.at, ev.key
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	// Recycle before running: the callback may schedule new events (reusing
 	// this node) and any Timer for this firing is already invalidated.
@@ -304,18 +320,19 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // stopped, or the next event lies after deadline. The clock is left at
 // min(deadline, last fired event). It returns ErrStopped if halted by Stop.
 func (e *Engine) RunUntil(deadline time.Time) error {
+	deadlineKey := int64(deadline.Sub(e.origin))
 	for {
 		if e.stopped {
 			return ErrStopped
 		}
-		at, feed, ok := e.next()
-		if !ok || at.After(deadline) {
+		key, feed, ok := e.next()
+		if !ok || key > deadlineKey {
 			break
 		}
 		e.fire(feed)
 	}
-	if e.now.Before(deadline) {
-		e.now = deadline
+	if e.nowKey < deadlineKey {
+		e.now, e.nowKey = deadline, deadlineKey
 	}
 	return nil
 }

@@ -25,14 +25,18 @@ func (c *cursor) before(o *cursor) bool {
 // yields exactly the requests of Merge over each source's Schedule — IDs
 // running on from one source to the next, ties broken by ID — without ever
 // holding the trace. Memory is one cursor per source plus the requests the
-// caller still references.
+// caller has pulled and not yet given back with Release: what a releasing
+// consumer has in hand, however long the run.
 type Stream struct {
 	run time.Duration
 	// heads is a min-heap of the sources that still have arrivals, keyed
 	// (arrival, ID).
 	heads []cursor
 	total int
-	slab  []Request
+	// slab is being carved; free holds released records, handed out first.
+	slab            []Request
+	free            []*Request
+	slabs, released int
 }
 
 // NewStream starts the merged stream of sources over [0, run), numbering
@@ -65,22 +69,42 @@ func NewStream(sources []Source, run time.Duration, firstID uint64) *Stream {
 func (st *Stream) Len() int { return st.total }
 
 // Next returns the next request in arrival order, or false once every source
-// has passed the end of the run. Requests are carved from slabs of slabSize
-// and never reused: the simulator keeps the pointer in scheduler queues,
-// flights and settlement books for as long as the request lives, and a slab
-// is garbage once all of its requests are.
+// has passed the end of the run. The record is the caller's until it passes
+// it to Release: a released one when there is one, else carved from a slab of
+// slabSize, which is garbage once a caller that never releases has dropped
+// all of its requests.
 func (st *Stream) Next() (*Request, bool) {
 	if len(st.heads) == 0 {
 		return nil, false
 	}
-	if len(st.slab) == cap(st.slab) {
-		st.slab = make([]Request, 0, slabSize)
+	if len(st.free) == 0 {
+		if len(st.slab) == cap(st.slab) {
+			st.slab = make([]Request, 0, slabSize)
+			st.slabs++
+		}
+		st.slab = st.slab[:len(st.slab)+1]
+		st.free = append(st.free, &st.slab[len(st.slab)-1])
 	}
-	st.slab = st.slab[:len(st.slab)+1]
-	r := &st.slab[len(st.slab)-1]
+	r := st.free[len(st.free)-1]
+	st.free = st.free[:len(st.free)-1]
 	st.next(r)
 	return r, true
 }
+
+// Release gives a record Next returned back to the stream, which zeroes it
+// and will hand it out again. Only the holder of the last reference may call
+// it, once (the simulator: where a request's one flight ends or the front
+// end turns it away); nobody has to — an unreleased record is plain garbage.
+func (st *Stream) Release(r *Request) {
+	*r = Request{}
+	st.free = append(st.free, r)
+	st.released++
+}
+
+// Released and Records return how many records have been given back and how
+// many were ever carved, a slab at a time.
+func (st *Stream) Released() int { return st.released }
+func (st *Stream) Records() int  { return st.slabs * slabSize }
 
 // next writes the next request into r and advances its source.
 func (st *Stream) next(r *Request) bool {

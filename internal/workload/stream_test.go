@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -77,6 +78,19 @@ func streamCases(t *testing.T) map[string]func() []Source {
 	}
 }
 
+// mergedSchedules is what a Stream over sources must yield: each source
+// scheduled eagerly, IDs running on from one to the next, merged.
+func mergedSchedules(sources []Source, run time.Duration, firstID uint64) []Request {
+	var streams [][]Request
+	next := firstID
+	for _, src := range sources {
+		var reqs []Request
+		reqs, next = eagerSchedule(src, run, next)
+		streams = append(streams, reqs)
+	}
+	return Merge(streams...)
+}
+
 // TestStreamMatchesMergedSchedules holds the lazy merge against the eager
 // path it replaced, element for element: IDs, arrivals, subscribers, hosts,
 // paths and costs, from a first ID of 1 and of something else.
@@ -84,15 +98,7 @@ func TestStreamMatchesMergedSchedules(t *testing.T) {
 	const run = 3 * time.Second
 	for name, build := range streamCases(t) {
 		for _, firstID := range []uint64{1, 5000} {
-			var streams [][]Request
-			next := firstID
-			for _, src := range build() {
-				var reqs []Request
-				reqs, next = eagerSchedule(src, run, next)
-				streams = append(streams, reqs)
-			}
-			want := Merge(streams...)
-
+			want := mergedSchedules(build(), run, firstID)
 			st := NewStream(build(), run, firstID)
 			if st.Len() != len(want) {
 				t.Fatalf("%s from %d: Len = %d, eager path scheduled %d", name, firstID, st.Len(), len(want))
@@ -114,6 +120,69 @@ func TestStreamMatchesMergedSchedules(t *testing.T) {
 			if r, ok := st.Next(); ok || r != nil {
 				t.Errorf("%s from %d: Next after the end = %v, %v", name, firstID, r, ok)
 			}
+		}
+	}
+}
+
+// TestStreamReleasingConsumerSeesTheSameRequests holds a consumer that gives
+// records back against the eager path: after each pull it releases a random
+// half of what it still has in hand, and every request it then pulls —
+// whether carved fresh or a record it released — carries the ID, arrival,
+// subscriber, host, path and cost the merged schedules do. A released record
+// comes back zeroed before it is refilled, the books count every release,
+// and the records carved stay at what the consumer had in hand at once.
+func TestStreamReleasingConsumerSeesTheSameRequests(t *testing.T) {
+	const run = 3 * time.Second
+	for name, build := range streamCases(t) {
+		want := mergedSchedules(build(), run, 1)
+		rng := rand.New(rand.NewSource(int64(len(want))))
+		st := NewStream(build(), run, 1)
+		var inHand []*Request
+		released, peak := 0, 0
+		for i := range want {
+			r, ok := st.Next()
+			if !ok {
+				t.Fatalf("%s: stream ended after %d requests, want %d", name, i, len(want))
+			}
+			if *r != want[i] {
+				t.Fatalf("%s: request %d = %+v, want %+v", name, i, *r, want[i])
+			}
+			inHand = append(inHand, r)
+			peak = max(peak, len(inHand))
+			if rng.Intn(8) > 0 {
+				continue
+			}
+			// Release about half of what is in hand, oldest and newest alike.
+			kept := inHand[:0]
+			for _, h := range inHand {
+				if rng.Intn(2) == 0 {
+					kept = append(kept, h)
+					continue
+				}
+				st.Release(h)
+				released++
+				if *h != (Request{}) {
+					t.Fatalf("%s: a released record still reads %+v, want it zeroed", name, *h)
+				}
+			}
+			inHand = kept
+		}
+		if r, ok := st.Next(); ok || r != nil {
+			t.Errorf("%s: Next after the end = %v, %v", name, r, ok)
+		}
+		if st.Released() != released {
+			t.Errorf("%s: Released = %d, the consumer released %d", name, st.Released(), released)
+		}
+		// What is still in hand was never handed out twice.
+		seen := make(map[*Request]bool, len(inHand))
+		for _, h := range inHand {
+			if seen[h] {
+				t.Fatalf("%s: one record is in hand twice", name)
+			}
+			seen[h] = true
+		}
+		if got, bound := st.Records(), peak+slabSize; got > bound {
+			t.Errorf("%s: %d records carved for a consumer that held %d at most (bound %d)", name, got, peak, bound)
 		}
 	}
 }
