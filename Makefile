@@ -1,7 +1,7 @@
 # Tier-1 verification gate. Every change must keep `make verify` green.
-.PHONY: verify build vet test race chaos lint loc profile-relay profile-sim bench-build bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
+.PHONY: verify build vet test race chaos lint loc profile-relay profile-sim bench-build bench-sched bench-hier bench-obs bench-frontier bench-relay stress-hier chaos-hier chaos-rdn chaos-elastic audit-smoke obs-smoke
 
-verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier stress-hier chaos-rdn chaos-elastic
+verify: build vet lint test bench-build race audit-smoke obs-smoke bench-sched bench-hier bench-obs bench-frontier bench-relay stress-hier chaos-rdn chaos-elastic
 
 build:
 	go build ./...
@@ -123,6 +123,15 @@ chaos-elastic:
 bench-frontier:
 	$(call benchgate,bench-frontier,-bench FrontierCycle -benchtime=2000x ./internal/frontier/)
 
+# The live relay: keep-alive clients through an in-process dispatcher and two
+# backends, every allocation in the process counted — the dispatcher's two
+# parses, the backend's, this client's, the scheduler, the pools. It must read
+# 0 allocs/op: a head goes into a buffer its message keeps, and everything
+# else a request needs belongs to its connection. The long run amortizes
+# building the connections and the pools.
+bench-relay:
+	$(call benchgate,bench-relay,-bench '^BenchmarkRelayKeepAlive$$' -benchtime=20000x ./internal/dispatch/)
+
 # Unified-event-bus overhead trajectory: the raw ring publish and the
 # scheduler Tick with recorder + bus mirroring, next to the recorder-only
 # Tick baseline. Publish and bus-on Tick must stay 0 allocs/op, and the
@@ -165,8 +174,8 @@ audit-smoke:
 # request) run with every allocation profiled, and each function's allocated
 # objects printed per request — flat, cumulative, name — so nobody has to
 # patch a copy of bench/main.go to get one. The client's own allocations are
-# in it (net.Dial…, the test's ReadHead); ns/op under -memprofilerate=1 means
-# nothing.
+# in it (net.Dial…); a keep-alive ledger with no row under the header is the
+# healthy one. ns/op under -memprofilerate=1 means nothing.
 PROFILE_REQUESTS ?= 20000
 profile-relay:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -199,10 +208,15 @@ profile-sim:
 	done; \
 	go tool pprof -top -nodecount=15 "$$tmp/gage.test" "$$tmp/cpu" 2>/dev/null | sed -n '/flat%/,$$p'
 
-# Static hygiene gate: gofmt drift (`vet` is its own target).
+# Static hygiene gate: gofmt drift (`vet` is its own target), and package
+# unsafe anywhere but internal/httpwire, whose string view of a message's head
+# buffer is the module's one use of it.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=httpwire --exclude-dir=.bench_build \
+		'^(import)?[[:space:]]*([[:alnum:]_.]+[[:space:]]+)?"unsafe"' . || true); if [ -n "$$out" ]; then \
+		echo "unsafe imported outside internal/httpwire:"; echo "$$out"; exit 1; fi
 
 # Non-test Go lines per top-level package, and for the root module (internal +
 # cmd + examples): the figures ROADMAP's line budgets are read off.

@@ -195,6 +195,9 @@ func (s *Server) handle(conn net.Conn) {
 		if !s.serve(conn, &req, &page) {
 			return
 		}
+		// The request is answered: nothing of it is read again, and a
+		// connection idling in its peer's pool keeps no oversized head.
+		req.Reset()
 	}
 }
 
@@ -215,7 +218,6 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, p *page) bool {
 	size := pageSize(req.Path())
 	cost := s.cfg.Costs.Cost(int64(size))
 	h := p.resp.Header
-	clear(h)
 	h["Content-Type"] = "text/html"
 	// Echo the trace ID so the front end (and any log scraper watching the
 	// backend side) can attribute the exchange to its end-to-end trace.
@@ -232,6 +234,7 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, p *page) bool {
 	// value it would cost a string — and the synthetic page is rendered behind
 	// the head, straight into the bytes that go on the wire.
 	p.buf = p.resp.AppendHead(p.buf[:0], int64(size))
+	clear(h) // rendered; the echoed trace ID is a view of the request's head
 	p.buf = append(p.buf, UsageHeader+": "...)
 	p.buf = strconv.AppendInt(p.buf, cost.CPUTime.Nanoseconds(), 10)
 	p.buf = append(p.buf, ',')
@@ -272,6 +275,9 @@ func (s *Server) charge(req *httpwire.Request, cost qos.Vector) {
 	s.mu.Lock()
 	pid, ok := s.procs[sub]
 	if !ok {
+		// First sight: the id outlives the request as a key here and in the
+		// accountant, and the header value dies with the request's head.
+		sub = qos.SubscriberID(strings.Clone(string(sub)))
 		pid = s.acct.Launch(sub)
 		s.procs[sub] = pid
 	}

@@ -279,7 +279,9 @@ func (s *Server) serveAdmin(conn net.Conn, req *httpwire.Request) {
 		s.adminCreateSubscriber(conn, req.Body)
 		return
 	case len(seg) == 2 && seg[0] == "subscribers":
-		id := qos.SubscriberID(seg[1])
+		// The id reaches the event bus, the flight recorder and the log, all
+		// of which keep it past this request's head.
+		id := qos.SubscriberID(strings.Clone(seg[1]))
 		switch req.Method {
 		case "PUT":
 			s.adminResizeSubscriber(conn, id, req.Body)

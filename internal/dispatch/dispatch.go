@@ -1005,7 +1005,7 @@ func putTimer(t *time.Timer) {
 // connection uses all of it — its requests are served one at a time, so one
 // record does for them all; the backend leg of a relay and the accounting
 // poll use br and resp alone. A one-request connection inherits all this from
-// its predecessor and costs the dispatcher its parse's head string alone.
+// its predecessor, head buffers included, and costs the dispatcher nothing.
 type wire struct {
 	br   *bufio.Reader
 	req  httpwire.Request
@@ -1046,28 +1046,29 @@ func getWire(r io.Reader) *wire {
 	return w
 }
 
-// putWireCheck, set by this package's tests, sees every wire as it is released.
+// putWireCheck, set by this package's tests, sees every wire as it goes back
+// to the pool.
 var putWireCheck func(*wire)
 
 // putWire releases w. What it holds is the next owner's to overwrite, so
 // nothing may still be reading it. An idle wire keeps what is worth inheriting
-// — buffers, header maps, the record's channel and its handshake word, whose
-// stale request id is what keeps a late withdrawer out — and no reference to
-// what it served: connection, server, heads, subscriber record or trace.
+// — buffers (the messages' head buffers among them, which Reset lets go like
+// the scratch once one oversized head has grown them), header maps, the
+// record's channel and its handshake word, whose stale request id is what
+// keeps a late withdrawer out — and no reference to what it served:
+// connection, server, heads, subscriber record or trace.
 func putWire(w *wire) {
-	if putWireCheck != nil {
-		putWireCheck(w)
-	}
 	w.br.Reset(nil)
-	clear(w.req.Header)
-	clear(w.resp.Header)
-	w.req = httpwire.Request{Header: w.req.Header}
-	w.resp = httpwire.Response{Header: w.resp.Header}
+	w.req.Reset()
+	w.resp.Reset()
 	if cap(w.buf) > maxScratch {
 		w.buf = nil
 	}
 	w.srv, w.conn, w.admin = nil, nil, false
 	w.pc.sub, w.pc.ent, w.pc.trace = "", nil, nil
+	if putWireCheck != nil {
+		putWireCheck(w)
+	}
 	wirePool.Put(w)
 }
 

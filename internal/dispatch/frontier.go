@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"sort"
+	"strings"
 
 	"gage/internal/core"
 	"gage/internal/flightrec"
@@ -84,16 +85,18 @@ func (s *Server) handOff(g string, orphans []core.Request) {
 			continue
 		}
 		// Until the send below the handler can only wait, so its parsed
-		// request is safe to read; the strings cut from it are immutable.
+		// request is safe to read. The strings cut from it are views of a
+		// head the connection's next request overwrites, and a Handoff is
+		// read long after that: it takes copies.
 		req := &pc.w.req
 		s.migMu.Lock()
 		s.handoffs = append(s.handoffs, Handoff{
 			ID:         r.ID,
 			Subscriber: r.Subscriber,
 			Group:      g,
-			Method:     req.Method,
-			Target:     req.Target,
-			Host:       req.Host,
+			Method:     strings.Clone(req.Method),
+			Target:     strings.Clone(req.Target),
+			Host:       strings.Clone(req.Host),
 		})
 		s.migMu.Unlock()
 		s.handedOff.Add(1)

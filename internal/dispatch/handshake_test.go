@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -15,13 +16,25 @@ import (
 )
 
 // Every wire any test of this package releases is held to the handshake rule:
-// the handler has received every value sent on its record's channel.
-func init() {
+// the handler has received every value sent on its record's channel. And every
+// message that is read into again has its old head scribbled first, so a
+// string kept past its request reads as 0xFF bytes, not as the look-alike
+// request that followed it.
+func TestMain(m *testing.M) {
 	putWireCheck = func(w *wire) {
 		if len(w.pc.node) != 0 {
 			panic("dispatch: wire released with a value left on its record's node channel")
 		}
 	}
+	httpwire.ScribbleStaleHeads.Store(true)
+	os.Exit(m.Run())
+}
+
+// keepHeads switches the scribble hook off for a test or benchmark that
+// counts allocations: a scribbled head is replaced by a fresh buffer.
+func keepHeads(tb testing.TB) {
+	httpwire.ScribbleStaleHeads.Store(false)
+	tb.Cleanup(func() { httpwire.ScribbleStaleHeads.Store(true) })
 }
 
 // handshakeServer is a dispatcher that is never served: the test is its tick

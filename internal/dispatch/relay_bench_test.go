@@ -16,6 +16,7 @@ import (
 // allocation profiled, which is how the per-request allocation ledger of the
 // live path is taken — no patched copy of bench/ needed.
 func benchmarkRelay(b *testing.B, keepAlive bool) {
+	keepHeads(b)
 	unlimited := qos.Vector{CPUTime: 1000 * time.Second, DiskTime: 1000 * time.Second, NetBytes: 1 << 40}
 	addr, srv := startTB(b, Config{
 		Subscribers: []qos.Subscriber{

@@ -50,7 +50,8 @@ func requestSeeds() [][]byte {
 }
 
 // FuzzReadRequest hunts for parser panics, for any difference from the
-// reference parser, and for round-trip breakage: any input must either fail
+// reference parser — fresh, and into a message still holding a seed picked by
+// the input's length — and for round-trip breakage: any input must either fail
 // cleanly or parse into a request that survives Write→ReadRequest with its
 // routing-relevant fields (method, target, proto, host, path, body) intact —
 // the dispatcher classifies and relays off these, so a lossy round trip
@@ -59,8 +60,9 @@ func FuzzReadRequest(f *testing.F) {
 	for _, s := range requestSeeds() {
 		f.Add(s)
 	}
+	seeds := requestSeeds()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		diffRequest(t, data)
+		diffRequest(t, seeds[len(data)%len(seeds)], data)
 		req, err := ParseRequest(data)
 		if err != nil {
 			return // rejected cleanly
@@ -129,5 +131,6 @@ func FuzzReadResponse(f *testing.F) {
 	for _, s := range responseSeeds() {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { diffResponse(t, data) })
+	seeds := responseSeeds()
+	f.Fuzz(func(t *testing.T, data []byte) { diffResponse(t, seeds[len(data)%len(seeds)], data) })
 }

@@ -5,15 +5,17 @@
 // routes bytes; origin-server semantics live in the backends.
 //
 // A head is scanned in place: its end is located in the bufio.Reader's own
-// buffer, the head is copied out once as a single string, and the start-line
-// fields and every header are cut from that string as substrings. A message
-// that is read again — (*Request).Read, (*Response).ReadHead — refills its
-// existing Header map, so a relay that owns one message per connection pays
-// one allocation per parse. The lifetime rule that buys this: a reused
-// message's fields and Header are valid until the next read on it. The
-// strings cut from it are ordinary immutable strings and may be kept.
-// ReadRequest, ReadResponse and ParseRequest run the same scanner into a
-// fresh message for callers that keep what they parse.
+// buffer, the head is copied once into a buffer the message owns, and the
+// start-line fields and every header are cut from one string view of that
+// buffer. A message that is read again — (*Request).Read,
+// (*Response).ReadHead — overwrites its buffer and refills its Header map, so
+// a relay that owns one message per connection pays nothing per parse. The
+// lifetime rule that buys this: a message's string fields, its Header
+// entries and the bytes of those strings are valid until the next Read,
+// ReadHead or Reset of that message. Whatever outlives the request is
+// strings.Clone'd where it is kept. ReadRequest, ReadResponse and
+// ParseRequest run the same scanner into a fresh message, which nothing ever
+// reads into again: what is cut from one of those may be kept as it is.
 //
 // Only Content-Length framing is understood. A message that declares a
 // Transfer-Encoding is refused as malformed rather than parsed as body-less
@@ -29,6 +31,8 @@ import (
 	"net/textproto"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Parse errors.
@@ -50,6 +54,36 @@ const MaxBodyBytes = 16 << 20
 // ends its head costs the reader at most this much memory.
 const MaxHeadBytes = 64 << 10
 
+// maxKeptHead is the largest head buffer a message keeps across Reset: one
+// head near MaxHeadBytes must not pin its size to a pooled message.
+const maxKeptHead = 16 << 10
+
+// ScribbleStaleHeads is a test hook, switched on by a TestMain and by nothing
+// that ships: a message that is reset fills its old head with 0xFF and takes
+// a fresh buffer, so a string kept past its request reads as garbage instead
+// of as the look-alike request that usually follows on the same connection.
+var ScribbleStaleHeads atomic.Bool
+
+// recycle is what Reset does to a head buffer: emptied and kept, or let go if
+// one oversized head grew it past maxKeptHead.
+func recycle(head []byte) []byte {
+	if ScribbleStaleHeads.Load() && cap(head) > 0 {
+		head = head[:cap(head)]
+		for i := range head {
+			head[i] = 0xFF
+		}
+		return nil
+	}
+	if cap(head) > maxKeptHead {
+		return nil
+	}
+	return head[:0]
+}
+
+// view returns b as a string that shares its bytes: valid for as long as
+// nothing writes to b.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // Request is a parsed HTTP request.
 type Request struct {
 	Method string
@@ -60,6 +94,16 @@ type Request struct {
 	Host   string
 	Header map[string]string
 	Body   []byte
+	// head holds the bytes the strings of a parsed request are views of.
+	head []byte
+}
+
+// Reset empties r, keeping its Header map and head buffer for the next Read.
+// Every string cut from the request it held dies here.
+func (r *Request) Reset() {
+	// The keys are views of head: out of the map before head changes.
+	clear(r.Header)
+	*r = Request{Header: r.Header, head: recycle(r.head)}
 }
 
 // Path returns the path component of the request target.
@@ -97,13 +141,14 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 }
 
 // Read parses one request (head and Content-Length body) from br into r,
-// replacing what r held and reusing its Header map.
+// replacing what r held and reusing its Header map and head buffer.
 func (r *Request) Read(br *bufio.Reader) error {
-	head, err := readHead(br, ErrMalformedRequest)
-	if err != nil {
+	r.Reset()
+	var err error
+	if r.head, err = readHead(br, r.head, ErrMalformedRequest); err != nil {
 		return err
 	}
-	line, lines := cutLine(head)
+	line, lines := cutLine(view(r.head))
 	method, rest, _ := strings.Cut(line, " ")
 	target, proto, ok := strings.Cut(rest, " ")
 	if !ok || method == "" || target == "" {
@@ -169,6 +214,15 @@ type Response struct {
 	Status     string
 	Header     map[string]string
 	Body       []byte
+	// head holds the bytes the strings of a parsed response are views of.
+	head []byte
+}
+
+// Reset empties r, keeping its Header map and head buffer for the next
+// ReadHead. Every string cut from the response it held dies here.
+func (r *Response) Reset() {
+	clear(r.Header)
+	*r = Response{Header: r.Header, head: recycle(r.head)}
 }
 
 // ReadResponse parses one response (head and Content-Length body) from br
@@ -186,15 +240,17 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 }
 
 // ReadHead parses one response head from br into r, replacing what r held
-// (Body included) and reusing its Header map. It returns the length of the
-// body that follows in br, which it leaves unread: a relay forwards those
-// bytes from the reader instead of copying them into the message.
+// (Body included) and reusing its Header map and head buffer. It returns the
+// length of the body that follows in br, which it leaves unread: a relay
+// forwards those bytes from the reader instead of copying them into the
+// message.
 func (r *Response) ReadHead(br *bufio.Reader) (int64, error) {
-	head, err := readHead(br, ErrMalformedResponse)
-	if err != nil {
+	r.Reset()
+	var err error
+	if r.head, err = readHead(br, r.head, ErrMalformedResponse); err != nil {
 		return 0, err
 	}
-	line, lines := cutLine(head)
+	line, lines := cutLine(view(r.head))
 	proto, rest, ok := strings.Cut(line, " ")
 	if !ok || !strings.HasPrefix(proto, "HTTP/") {
 		return 0, fmt.Errorf("%w: status line %q", ErrMalformedResponse, line)
@@ -204,7 +260,7 @@ func (r *Response) ReadHead(br *bufio.Reader) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: status code %q", ErrMalformedResponse, code)
 	}
-	r.Proto, r.Status, r.Body = proto, status, nil
+	r.Proto, r.Status = proto, status
 	var n int64
 	r.Header, n, err = parseHeaders(lines, r.Header, ErrMalformedResponse)
 	return n, err
@@ -263,20 +319,20 @@ func StatusText(code int) string {
 }
 
 // readHead consumes one message head from br — start line, header lines and
-// the blank line — and returns it as one string, the only allocation a parse
-// into a reused message makes. The head is searched where it already lies, in
-// br's buffer; only a head that outgrows the buffer accumulates on the side,
-// up to MaxHeadBytes. Nothing past the head is consumed. A line ends at LF,
-// any CRs before the LF belong to the line ending, and the head ends with the
-// first line that holds nothing else. A read error inside the start line is
-// returned as it is — io.EOF there is a peer hanging up between messages —
+// the blank line — and returns it appended to head, which must be empty: the
+// one copy a parse makes, and no allocation once head has the room. The head
+// is searched where it already lies, in br's buffer; only one that outgrows
+// the buffer is taken out piecewise (head then holds the part already out of
+// br), up to MaxHeadBytes. Nothing past the head is consumed. A line ends at
+// LF, any CRs before the LF belong to the line ending, and the head ends with
+// the first line that holds nothing else. A read error inside the start line
+// is returned as it is — io.EOF there is a peer hanging up between messages —
 // and one after it as a malformed head.
-func readHead(br *bufio.Reader, malformed error) (string, error) {
+func readHead(br *bufio.Reader, head []byte, malformed error) ([]byte, error) {
 	var (
-		spill []byte // the part of the head already taken out of br
-		seen  int    // bytes of br's buffered window already searched
-		lines int    // complete lines found
-		text  bool   // the line in progress holds a byte other than CR
+		seen  int  // bytes of br's buffered window already searched
+		lines int  // complete lines found
+		text  bool // the line in progress holds a byte other than CR
 	)
 	for {
 		win, _ := br.Peek(br.Buffered())
@@ -294,21 +350,18 @@ func readHead(br *bufio.Reader, malformed error) (string, error) {
 			if !blank {
 				continue
 			}
-			if len(spill)+seen > MaxHeadBytes {
-				return "", ErrHeadTooLarge
+			if len(head)+seen > MaxHeadBytes {
+				return head, ErrHeadTooLarge
 			}
-			head := string(win[:seen])
-			if spill != nil {
-				head = string(append(spill, win[:seen]...))
-			}
+			head = append(head, win[:seen]...)
 			_, _ = br.Discard(seen) // buffered bytes: cannot fail
 			return head, nil
 		}
-		if len(spill)+seen >= MaxHeadBytes {
-			return "", ErrHeadTooLarge
+		if len(head)+seen >= MaxHeadBytes {
+			return head, ErrHeadTooLarge
 		}
 		if seen == br.Size() {
-			spill = append(spill, win...)
+			head = append(head, win...)
 			_, _ = br.Discard(seen)
 			seen = 0
 		}
@@ -316,7 +369,7 @@ func readHead(br *bufio.Reader, malformed error) (string, error) {
 			if lines > 0 {
 				err = fmt.Errorf("%w: %v", malformed, err)
 			}
-			return "", err
+			return head, err
 		}
 	}
 }
@@ -336,13 +389,11 @@ func cutLine(s string) (line, rest string) {
 	return strings.TrimRight(line, "\r"), rest
 }
 
-// parseHeaders fills h (cleared first; allocated when nil) from the header
-// lines of a head and returns it with the body length they declare.
+// parseHeaders fills h (empty; allocated when nil) from the header lines of a
+// head and returns it with the body length they declare.
 func parseHeaders(lines string, h map[string]string, malformed error) (map[string]string, int64, error) {
 	if h == nil {
 		h = make(map[string]string)
-	} else {
-		clear(h)
 	}
 	for lines != "" {
 		var line string

@@ -174,10 +174,23 @@ func rest(t *testing.T, br *bufio.Reader) []byte {
 	return b
 }
 
+// eachReuse runs f the two ways a message can be read into again: with its
+// stale head scribbled and replaced, as TestMain has it (a Header entry or a
+// field left over from the old request reads as 0xFF), and with the buffer
+// really reused (a view taken before append moved the buffer, or a head that
+// outgrew the reader and lost its first part, reads as the wrong bytes).
+func eachReuse(f func(how string)) {
+	defer ScribbleStaleHeads.Store(true)
+	for _, scribble := range []bool{true, false} {
+		ScribbleStaleHeads.Store(scribble)
+		f(map[bool]string{true: "scribbled", false: "kept"}[scribble] + " buffer")
+	}
+}
+
 // diffRequest holds every request entry point — a fresh message, a reused
-// one still holding another request, and the byte-slice parse — against the
-// reference on one input.
-func diffRequest(t *testing.T, data []byte) {
+// one still holding another request, one that has just parsed prev, and the
+// byte-slice parse — against the reference on one input.
+func diffRequest(t *testing.T, prev, data []byte) {
 	t.Helper()
 	rbr := bufio.NewReader(bytes.NewReader(data))
 	want, wantErr := refReadRequest(rbr)
@@ -220,6 +233,12 @@ func diffRequest(t *testing.T, data []byte) {
 			Header: map[string]string{"X-Old": "1", "Content-Length": "3"}, Body: []byte("old")}
 		err = reused.Read(rd.open(data))
 		check("reused Read, "+rd.name, reused, err)
+		eachReuse(func(how string) {
+			var dirty Request
+			_ = dirty.Read(rd.open(prev))
+			err := dirty.Read(rd.open(data))
+			check("Read over a parsed request, "+how+", "+rd.name, &dirty, err)
+		})
 	}
 	got, err := ParseRequest(data)
 	check("ParseRequest", got, err)
@@ -228,7 +247,7 @@ func diffRequest(t *testing.T, data []byte) {
 // diffResponse is diffRequest for ReadResponse and a reused ReadHead. The
 // reference called a bad response Content-Length a malformed request; that
 // one class is corrected before comparing.
-func diffResponse(t *testing.T, data []byte) {
+func diffResponse(t *testing.T, prev, data []byte) {
 	t.Helper()
 	rbr := bufio.NewReader(bytes.NewReader(data))
 	want, wantErr := refReadResponse(rbr)
@@ -265,19 +284,29 @@ func diffResponse(t *testing.T, data []byte) {
 		}
 		// A reused head parse agrees with the fresh one and stops where the
 		// body starts.
-		reused := &Response{Proto: "HTTP/0.9", StatusCode: 1, Status: "old",
-			Header: map[string]string{"X-Old": "1"}, Body: []byte("old")}
-		br = rd.open(data)
-		n, err := reused.ReadHead(br)
-		if err != nil || n != int64(len(want.Body)) || reused.Body != nil {
-			t.Fatalf("reused ReadHead, %s: n %d body %q err %v, want n %d and no body\ninput %q", rd.name, n, reused.Body, err, len(want.Body), data)
+		checkHead := func(how string, reused *Response) {
+			t.Helper()
+			br := rd.open(data)
+			n, err := reused.ReadHead(br)
+			if err != nil || n != int64(len(want.Body)) || reused.Body != nil {
+				t.Fatalf("%s, %s: n %d body %q err %v, want n %d and no body\ninput %q", how, rd.name, n, reused.Body, err, len(want.Body), data)
+			}
+			if reused.Proto != want.Proto || reused.StatusCode != want.StatusCode || reused.Status != want.Status ||
+				!reflect.DeepEqual(reused.Header, want.Header) {
+				t.Fatalf("%s, %s: %q %d %q header %v, reference %q %d %q header %v\ninput %q", how, rd.name,
+					reused.Proto, reused.StatusCode, reused.Status, reused.Header,
+					want.Proto, want.StatusCode, want.Status, want.Header, data)
+			}
+			if g := rest(t, br); !bytes.Equal(g[:n], want.Body) {
+				t.Fatalf("%s, %s: reader continues %q, want the body %q\ninput %q", how, rd.name, g, want.Body, data)
+			}
 		}
-		if reused.Proto != want.Proto || reused.StatusCode != want.StatusCode || reused.Status != want.Status ||
-			!reflect.DeepEqual(reused.Header, want.Header) {
-			t.Fatalf("reused ReadHead, %s: %+v, reference %+v\ninput %q", rd.name, reused, want, data)
-		}
-		if g := rest(t, br); !bytes.Equal(g[:n], want.Body) {
-			t.Fatalf("reused ReadHead, %s: reader continues %q, want the body %q\ninput %q", rd.name, g, want.Body, data)
-		}
+		checkHead("reused ReadHead", &Response{Proto: "HTTP/0.9", StatusCode: 1, Status: "old",
+			Header: map[string]string{"X-Old": "1"}, Body: []byte("old")})
+		eachReuse(func(how string) {
+			var dirty Response
+			_, _ = dirty.ReadHead(rd.open(prev))
+			checkHead("ReadHead over a parsed response, "+how, &dirty)
+		})
 	}
 }

@@ -5,10 +5,27 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestMain runs the suite with stale heads scribbled: a test that reads a
+// string past the next read of its message sees 0xFF bytes, not the previous
+// request's look-alike.
+func TestMain(m *testing.M) {
+	ScribbleStaleHeads.Store(true)
+	os.Exit(m.Run())
+}
+
+// keepHeads switches the scribble hook off for the rest of a test: for one
+// that counts allocations, and for the dirty-reuse case, where the buffer a
+// message really keeps is the thing under test.
+func keepHeads(t *testing.T) {
+	ScribbleStaleHeads.Store(false)
+	t.Cleanup(func() { ScribbleStaleHeads.Store(true) })
+}
 
 // TestScannerMatchesReference walks the error-table cases, both fuzz corpora
 // and a few multi-message streams through every entry point, against the
@@ -27,11 +44,14 @@ func TestScannerMatchesReference(t *testing.T) {
 		[]byte("GET / HTTP/1.0\r\nhOsT: h.example\r\ncontent-type:text/html\r\n\r\n"),
 		[]byte("GET / HTTP/1.1 trailing words\r\n : empty key\r\n\r\n"),
 	)
-	for _, data := range requests {
-		diffRequest(t, data)
+	// Each input is also parsed into a message that still holds its
+	// predecessor in the table.
+	for k, data := range requests {
+		diffRequest(t, requests[(k+len(requests)-1)%len(requests)], data)
 	}
-	for _, data := range responseSeeds() {
-		diffResponse(t, data)
+	responses := responseSeeds()
+	for k, data := range responses {
+		diffResponse(t, responses[(k+len(responses)-1)%len(responses)], data)
 	}
 }
 
@@ -194,10 +214,76 @@ func TestBadContentLengthNamesItsMessage(t *testing.T) {
 	}
 }
 
+// TestResetKeepsMapAndBuffer: Reset empties a message down to what the next
+// read can use — the Header map, emptied, and the head buffer — and lets the
+// buffer go too once one oversized head has grown it past maxKeptHead.
+func TestResetKeepsMapAndBuffer(t *testing.T) {
+	keepHeads(t)
+	usual := "GET /p HTTP/1.1\r\nHost: h\r\nContent-Length: 2\r\n\r\nhi"
+	big := "GET /p HTTP/1.1\r\nX-Pad: " + strings.Repeat("p", 60<<10) + "\r\n\r\n"
+	var req Request
+	if err := req.Read(bufio.NewReader(strings.NewReader(usual))); err != nil {
+		t.Fatal(err)
+	}
+	header := req.Header
+	req.Reset()
+	if req.Method != "" || req.Target != "" || req.Proto != "" || req.Host != "" || req.Body != nil {
+		t.Errorf("a reset request still holds %+v", req)
+	}
+	if len(req.Header) != 0 || len(header) != 0 || req.Header == nil || cap(req.head) == 0 || len(req.head) != 0 {
+		t.Errorf("a reset request has header %v (the old map now %v) and a head buffer of %d/%d, want both kept and empty",
+			req.Header, header, len(req.head), cap(req.head))
+	}
+	if err := req.Read(bufio.NewReader(strings.NewReader(big))); err != nil {
+		t.Fatal(err)
+	}
+	if req.Reset(); cap(req.head) != 0 {
+		t.Errorf("a reset request kept the %d-byte buffer a 60 KiB head grew, want it dropped", cap(req.head))
+	}
+
+	var resp Response
+	if _, err := resp.ReadHead(bufio.NewReader(strings.NewReader("HTTP/1.0 200 OK\r\nX-A: 1\r\n\r\n"))); err != nil {
+		t.Fatal(err)
+	}
+	resp.Reset()
+	if resp.Proto != "" || resp.StatusCode != 0 || resp.Status != "" || len(resp.Header) != 0 || resp.Header == nil || cap(resp.head) == 0 {
+		t.Errorf("a reset response holds %+v, want an empty map and an empty buffer", resp)
+	}
+	if _, err := resp.ReadHead(bufio.NewReader(strings.NewReader(strings.Replace(big, "GET /p HTTP/1.1", "HTTP/1.0 200 OK", 1)))); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Reset(); cap(resp.head) != 0 {
+		t.Errorf("a reset response kept the %d-byte buffer a 60 KiB head grew, want it dropped", cap(resp.head))
+	}
+}
+
+// TestStaleHeadIsScribbled is the hook TestMain switches on, seen from where
+// it bites: a string kept from a request reads as 0xFF bytes once its message
+// has read another, and a clone taken in time does not.
+func TestStaleHeadIsScribbled(t *testing.T) {
+	br := bufio.NewReader(strings.NewReader("GET /one HTTP/1.1\r\nHost: first.example\r\n\r\nGET /one HTTP/1.1\r\nHost: first.example\r\n\r\n"))
+	var req Request
+	if err := req.Read(br); err != nil {
+		t.Fatal(err)
+	}
+	kept, cloned := req.Host, strings.Clone(req.Host)
+	if err := req.Read(br); err != nil {
+		t.Fatal(err)
+	}
+	if kept != strings.Repeat("\xff", len("first.example")) {
+		t.Errorf("a view kept past its request reads %q, want it scribbled", kept)
+	}
+	if cloned != "first.example" || req.Host != "first.example" {
+		t.Errorf("the clone reads %q and the second request's host %q, want first.example twice", cloned, req.Host)
+	}
+}
+
 // TestParseAllocations pins what the scan-in-place design buys: a parse into
-// a reused message allocates the head string and nothing else, and a parse of
-// a byte slice a fresh message and a right-sized reader.
+// a reused message allocates nothing — the head goes into the buffer the
+// message kept — and a parse of a byte slice a fresh message and a
+// right-sized reader.
 func TestParseAllocations(t *testing.T) {
+	keepHeads(t)
 	reqRaw := []byte("GET /static/512.html HTTP/1.1\r\nHost: www.site1.example\r\nConnection: keep-alive\r\nX-Gage-Subscriber: site1\r\nX-Gage-Trace: 000100000000001f\r\n\r\n")
 	respRaw := []byte("HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Type: text/html\r\nX-Gage-Trace: 000100000000001f\r\nX-Gage-Usage: 1070500,250000,912\r\nContent-Length: 512\r\n\r\n" + strings.Repeat("a", 512))
 	rd := bytes.NewReader(nil)
@@ -209,8 +295,8 @@ func TestParseAllocations(t *testing.T) {
 		if err := req.Read(br); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("reused Request.Read allocates %.1f times, want 1", n)
+	}); n > 0 {
+		t.Errorf("reused Request.Read allocates %.1f times, want 0", n)
 	}
 	var resp Response
 	if n := testing.AllocsPerRun(200, func() {
@@ -219,11 +305,11 @@ func TestParseAllocations(t *testing.T) {
 		if n, err := resp.ReadHead(br); err != nil || n != 512 {
 			t.Fatal(n, err)
 		}
-	}); n > 1 {
-		t.Errorf("reused Response.ReadHead allocates %.1f times, want 1", n)
+	}); n > 0 {
+		t.Errorf("reused Response.ReadHead allocates %.1f times, want 0", n)
 	}
-	// ParseRequest pays for a fresh message — the Request, the head, and the
-	// header map, which the runtime builds in two pieces once it holds a key —
+	// ParseRequest pays for a fresh message — the Request, its head buffer, and
+	// the header map, which the runtime builds in two pieces once it holds a key —
 	// and for a reader over the slice: the bytes.Reader, the bufio.Reader and
 	// its buffer, sized to the packet.
 	urlPacket := []byte("GET /index.html HTTP/1.0\r\nHost: www.site1.example\r\n\r\n")
